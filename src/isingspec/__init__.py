@@ -17,7 +17,6 @@ from .chain import (
 from .decoherence import (
     LineDecomposition,
     ModeCoefficients,
-    SpectralLine,
     decoherence_factor,
     enumerate_lines,
     mode_coefficients,
@@ -49,6 +48,7 @@ from .spectrum import (
     spectrum_analytic,
     spectrum_fft,
     threshold_crossing_time,
+    weighted_echo,
 )
 from .oracle import (
     DenseSpinHamiltonian,
@@ -80,7 +80,6 @@ __all__ = [
     "ParameterError",
     "PhysicalParams",
     "ProbeState",
-    "SpectralLine",
     "Spectrum",
     "TimeGrid",
     "ValidityError",
@@ -113,4 +112,5 @@ __all__ = [
     "spectrum_analytic",
     "spectrum_fft",
     "threshold_crossing_time",
+    "weighted_echo",
 ]

@@ -4,11 +4,12 @@ One JSON config document drives every subcommand.  Files are written with a
 comment header carrying the resolved configuration and tool version, floats
 at 17 significant digits, so identical configs produce byte-identical
 output.  Exit codes: 0 success, 2 configuration error, 3 capacity error,
-4 oracle deviation.
+4 oracle deviation, 5 numerics error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     IsingSpecError,
+    NumericsError,
     ParameterError,
 )
 from .oracle import comparison_suite
@@ -34,6 +36,7 @@ from .params import ChainParams, PhysicalParams, derive_chain_params
 from .probe import ProbeState, coherent_state, fock_superposition
 from .spectrum import (
     TimeGrid,
+    _populated_branches,
     auto_time_grid,
     broadening_metrics,
     correlation_series,
@@ -43,6 +46,7 @@ from .spectrum import (
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_ORACLE = 4
+EXIT_NUMERICS = 5
 
 _FLOAT_FMT = "%.17g"
 
@@ -87,6 +91,15 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
+
+
+def _list_of(parse):
+    def parse_list(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return [parse(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return parse_list
 
 
 def _complex(value, path: str) -> complex:
@@ -163,23 +176,21 @@ def parse_sweep(cfg: dict, chain: ChainParams) -> list[float]:
     return values
 
 
-def resolve_time_grid(cfg: dict, params: ChainParams, table, state) -> TimeGrid:
+def parse_time_grid(cfg: dict) -> TimeGrid | None:
+    """The explicit time grid of the config, or None for "auto"."""
     section = cfg.get("time_grid", "auto")
     if section == "auto":
-        return auto_time_grid(params, table, state)
+        return None
     if not isinstance(section, dict):
         raise ConfigError("config.time_grid: expected 'auto' or an object")
     t_max = _number(_require(section, "t_max", "config.time_grid"), "config.time_grid.t_max")
     n_samples = _integer(
         _require(section, "n_samples", "config.time_grid"), "config.time_grid.n_samples"
     )
-    if t_max <= 0.0:
-        raise ConfigError(f"config.time_grid.t_max: must be > 0, got {t_max}")
-    if n_samples < 2 or n_samples & (n_samples - 1):
-        raise ConfigError(
-            f"config.time_grid.n_samples: must be a power of two >= 2, got {n_samples}"
-        )
-    return TimeGrid(t_max=t_max, n_samples=n_samples, omega_estimate=None)
+    try:
+        return TimeGrid(t_max=t_max, n_samples=n_samples)
+    except ConfigError as exc:
+        raise ConfigError(f"config.time_grid: {exc}")
 
 
 def _out_dir(cfg: dict, out_flag: str | None) -> Path:
@@ -235,23 +246,36 @@ def _lambda_tag(lam: float) -> str:
     return ("%g" % lam).replace("-", "m")
 
 
-def _spectrum_job(params: ChainParams, state: ProbeState, grid_cfg, base_cfg):
-    """Series, spectrum and metrics for one lambda; used by sweep workers."""
-    table = build_mode_table(params, n_max=max(state.n_max, 1))
-    grid = (
-        auto_time_grid(params, table, state)
-        if grid_cfg == "auto"
-        else resolve_time_grid(base_cfg, params, table, state)
-    )
-    series = correlation_series(params, table, state, grid.t_max, grid.n_samples)
-    spec = spectrum_fft(series)
-    metrics = broadening_metrics(spec)
-    return grid, series, spec, metrics
+def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
+    """Output directory, and finish(params, grid, series) per lambda in sweep order.
+
+    Chain, probe, sweep and an explicit time grid are parsed once, up front.
+    Each worker then builds the table, resolves the grid (auto unless given)
+    and computes the correlation series of its lambda, and hands them to
+    finish; only what finish returns is held until the pool drains.
+    """
+    chain = parse_chain(cfg)
+    state = parse_probe(cfg)
+    sweep = parse_sweep(cfg, chain)
+    grid = parse_time_grid(cfg)
+    out = _out_dir(cfg, out_flag)
+
+    def job(lam: float):
+        params = dataclasses.replace(chain, lam=lam)
+        table = build_mode_table(params, n_max=max(state.n_max, 1))
+        resolved = grid if grid is not None else auto_time_grid(params, table, state)
+        series = correlation_series(
+            params, table, state, resolved.t_max, resolved.n_samples
+        )
+        return finish(params, resolved, series)
+
+    with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
+        return out, list(pool.map(job, sweep))
 
 
-def _metrics_record(params: ChainParams, lam: float, metrics) -> dict:
+def _metrics_record(params: ChainParams, metrics) -> dict:
     return {
-        "lambda": lam,
+        "lambda": params.lam,
         "w90": metrics.w90,
         "entropy": metrics.entropy,
         "participation": metrics.participation,
@@ -264,10 +288,10 @@ def _metrics_record(params: ChainParams, lam: float, metrics) -> dict:
 def _run(action) -> None:
     try:
         action()
-    except (ConfigError, ParameterError, DegenerateInputError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
     except CapacityError as exc:
         _fail(EXIT_CAPACITY, str(exc))
+    except NumericsError as exc:
+        _fail(EXIT_NUMERICS, str(exc))
     except IsingSpecError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
@@ -315,32 +339,11 @@ def cmd_correlation(config_path: str, out_flag: str | None, threads: int) -> Non
 
     def action() -> None:
         cfg = _load_config(config_path)
-        chain = parse_chain(cfg)
-        state = parse_probe(cfg)
-        sweep = parse_sweep(cfg, chain)
-        out = _out_dir(cfg, out_flag)
-        grid_cfg = cfg.get("time_grid", "auto")
-
-        def job(lam: float):
-            params = ChainParams(
-                n_sites=chain.n_sites,
-                lam=lam,
-                g_over_b=chain.g_over_b,
-                gamma_over_b=chain.gamma_over_b,
-            )
-            table = build_mode_table(params, n_max=max(state.n_max, 1))
-            grid = (
-                auto_time_grid(params, table, state)
-                if grid_cfg == "auto"
-                else resolve_time_grid(cfg, params, table, state)
-            )
-            series = correlation_series(params, table, state, grid.t_max, grid.n_samples)
-            return grid, series
-
-        with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-            results = list(pool.map(job, sweep))
-        for lam, (grid, series) in zip(sweep, results):
-            path = out / f"correlation_lambda_{_lambda_tag(lam)}.csv"
+        out, results = _run_sweep(
+            cfg, out_flag, threads, lambda params, grid, series: (params, grid, series)
+        )
+        for params, grid, series in results:
+            path = out / f"correlation_lambda_{_lambda_tag(params.lam)}.csv"
             rows = (
                 (t, v.real, v.imag, abs(v)) for t, v in zip(series.times, series.values)
             )
@@ -364,25 +367,14 @@ def cmd_spectrum(config_path: str, out_flag: str | None, threads: int) -> None:
 
     def action() -> None:
         cfg = _load_config(config_path)
-        chain = parse_chain(cfg)
-        state = parse_probe(cfg)
-        sweep = parse_sweep(cfg, chain)
-        out = _out_dir(cfg, out_flag)
-        grid_cfg = cfg.get("time_grid", "auto")
 
-        def job(lam: float):
-            params = ChainParams(
-                n_sites=chain.n_sites,
-                lam=lam,
-                g_over_b=chain.g_over_b,
-                gamma_over_b=chain.gamma_over_b,
-            )
-            return params, _spectrum_job(params, state, grid_cfg, cfg)
+        def finish(params, grid, series):
+            spec = spectrum_fft(series)
+            return params, grid, spec, broadening_metrics(spec)
 
-        with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-            results = list(pool.map(job, sweep))
-        for lam, (params, (grid, _series, spec, metrics)) in zip(sweep, results):
-            tag = _lambda_tag(lam)
+        out, results = _run_sweep(cfg, out_flag, threads, finish)
+        for params, grid, spec, metrics in results:
+            tag = _lambda_tag(params.lam)
             csv_path = out / f"spectrum_lambda_{tag}.csv"
             _write_csv(
                 csv_path,
@@ -396,7 +388,7 @@ def cmd_spectrum(config_path: str, out_flag: str | None, threads: int) -> None:
                 {
                     "meta": _meta(cfg),
                     "participation_normalization": "inverse participation ratio divided by grid size",
-                    "metrics": _metrics_record(params, lam, metrics),
+                    "metrics": _metrics_record(params, metrics),
                 },
             )
             click.echo(str(csv_path))
@@ -414,26 +406,13 @@ def cmd_sweep(config_path: str, out_flag: str | None, threads: int) -> None:
 
     def action() -> None:
         cfg = _load_config(config_path)
-        chain = parse_chain(cfg)
-        state = parse_probe(cfg)
         if "sweep" not in cfg:
             raise ConfigError("config.sweep: required by the sweep command")
-        sweep = parse_sweep(cfg, chain)
-        out = _out_dir(cfg, out_flag)
-        grid_cfg = cfg.get("time_grid", "auto")
 
-        def job(lam: float):
-            params = ChainParams(
-                n_sites=chain.n_sites,
-                lam=lam,
-                g_over_b=chain.g_over_b,
-                gamma_over_b=chain.gamma_over_b,
-            )
-            _grid, _series, _spec, metrics = _spectrum_job(params, state, grid_cfg, cfg)
-            return _metrics_record(params, lam, metrics)
+        def finish(params, _grid, series):
+            return _metrics_record(params, broadening_metrics(spectrum_fft(series)))
 
-        with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-            records = list(pool.map(job, sweep))
+        out, records = _run_sweep(cfg, out_flag, threads, finish)
         path = out / "sweep_metrics.json"
         _write_json(
             path,
@@ -460,9 +439,7 @@ def cmd_lines(config_path: str, out_flag: str | None) -> None:
         state = parse_probe(cfg)
         out = _out_dir(cfg, out_flag)
         table = build_mode_table(chain, n_max=max(state.n_max, 1))
-        weights = state.branch_weights()
-        branches = [n for n in range(1, len(weights)) if weights[n] > 0.0] or [1]
-        for n in branches:
+        for n in list(_populated_branches(table, state)) or [1]:
             decomp = enumerate_lines(table, n)
             path = out / f"lines_branch_{n}.csv"
             header = _header_lines(cfg) + [
@@ -480,6 +457,15 @@ def cmd_lines(config_path: str, out_flag: str | None) -> None:
     _run(action)
 
 
+# config.oracle key, comparison_suite keyword, parser
+_ORACLE_KEYS = (
+    ("n_sites_list", "n_sites_list", _list_of(_integer)),
+    ("lambdas", "lams", _list_of(_number)),
+    ("g_over_bs", "g_over_bs", _list_of(_number)),
+    ("tolerance", "tolerance", _number),
+)
+
+
 @main.command("oracle-check")
 @config_option
 @out_option
@@ -491,26 +477,11 @@ def cmd_oracle_check(config_path: str, out_flag: str | None) -> None:
         suite_cfg = cfg.get("oracle", {})
         if not isinstance(suite_cfg, dict):
             raise ConfigError("config.oracle: expected an object")
-        kwargs = {}
-        if "n_sites_list" in suite_cfg:
-            kwargs["n_sites_list"] = [
-                _integer(v, f"config.oracle.n_sites_list[{i}]")
-                for i, v in enumerate(suite_cfg["n_sites_list"])
-            ]
-        if "lambdas" in suite_cfg:
-            kwargs["lams"] = [
-                _number(v, f"config.oracle.lambdas[{i}]")
-                for i, v in enumerate(suite_cfg["lambdas"])
-            ]
-        if "g_over_bs" in suite_cfg:
-            kwargs["g_over_bs"] = [
-                _number(v, f"config.oracle.g_over_bs[{i}]")
-                for i, v in enumerate(suite_cfg["g_over_bs"])
-            ]
-        if "tolerance" in suite_cfg:
-            kwargs["tolerance"] = _number(
-                suite_cfg["tolerance"], "config.oracle.tolerance"
-            )
+        kwargs = {
+            keyword: parse(suite_cfg[key], f"config.oracle.{key}")
+            for key, keyword, parse in _ORACLE_KEYS
+            if key in suite_cfg
+        }
         report = comparison_suite(**kwargs)
         out = _out_dir(cfg, out_flag)
         path = out / "oracle_check.json"
@@ -540,18 +511,7 @@ def cmd_params(config_path: str, out_flag: str | None) -> None:
         if not isinstance(section, dict):
             raise ConfigError("config.physical: expected an object")
         n_sites = _integer(_require(cfg, "n_sites", "config"), "config.n_sites")
-        known = {
-            "e_j",
-            "c_sigma",
-            "c_m",
-            "tlr_length",
-            "squid_area",
-            "distance",
-            "inductance_per_length",
-            "omega",
-            "flux_bias",
-            "decay",
-        }
+        known = {field.name for field in dataclasses.fields(PhysicalParams)}
         for key in section:
             if key not in known:
                 raise ConfigError(f"config.physical.{key}: unknown field")
@@ -560,9 +520,7 @@ def cmd_params(config_path: str, out_flag: str | None) -> None:
         }
         try:
             phys = PhysicalParams(**values)
-        except TypeError as exc:
-            raise ConfigError(f"config.physical: {exc}")
-        except ParameterError as exc:
+        except (TypeError, ParameterError) as exc:
             raise ConfigError(f"config.physical: {exc}")
         try:
             params, report = derive_chain_params(phys, n_sites)

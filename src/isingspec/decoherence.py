@@ -126,14 +126,6 @@ def decoherence_factor(table: ModeTable, n: int, t):
 
 
 @dataclass(frozen=True)
-class SpectralLine:
-    """One Lorentzian line: center frequency (units of B) and real weight."""
-
-    center: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class LineDecomposition:
     """Exact line list of one branch echo, with pruning bookkeeping.
 
@@ -147,37 +139,28 @@ class LineDecomposition:
     pruned_weight: float
     pruned_abs_weight: float
 
-    def lines(self) -> list[SpectralLine]:
-        return [
-            SpectralLine(center=float(c), weight=float(w))
-            for c, w in zip(self.centers, self.weights)
-        ]
-
 
 def enumerate_lines(
-    table: ModeTable,
-    n: int,
-    max_modes: int = MAX_ENUMERABLE_MODES,
-    weight_floor: float = 1e-15,
+    table: ModeTable, n: int, weight_floor: float = 1e-15
 ) -> LineDecomposition:
     """All 4^(N/2) configurations {(a_k, b_k)} with weights and centers.
 
     Each configuration contributes weight prod_k c_{a_k b_k, k} at center
     sum_k (a_k eps_nk + b_k eps_{n-1,k}).  Partial products whose magnitude
     falls below weight_floor are pruned (they can only shrink further), and
-    the pruned mass is reported.  Beyond min(max_modes, 14) momentum pairs
-    the enumeration refuses and the FFT path should be used instead.
+    the pruned mass is reported.  Beyond 14 momentum pairs the enumeration
+    refuses and the FFT path should be used instead.
     """
     if n < 1 or n > table.n_max:
         raise ParameterError(
             f"branch pair ({n}, {n - 1}) not covered by table with n_max={table.n_max}"
         )
     n_modes = table.momenta.size
-    cap = min(int(max_modes), MAX_ENUMERABLE_MODES)
-    if n_modes > cap:
+    if n_modes > MAX_ENUMERABLE_MODES:
         raise CapacityError(
-            f"{n_modes} momentum pairs exceed the enumerable cap of {cap} "
-            "(4^modes configurations); use the FFT spectrum path instead"
+            f"{n_modes} momentum pairs exceed the enumerable cap of "
+            f"{MAX_ENUMERABLE_MODES} (4^modes configurations); use the FFT "
+            "spectrum path instead"
         )
 
     coeffs = mode_coefficients(table.alpha[n], table.alpha[n - 1])

@@ -10,14 +10,15 @@ symmetric time grid or, at small N, by summing the exact Lorentzian lines
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .chain import ModeTable
 from .decoherence import decoherence_factor, enumerate_lines, mode_coefficients
-from .errors import ConfigError, DegenerateInputError, NumericsError
+from .errors import CapacityError, ConfigError, DegenerateInputError, NumericsError
 from .params import ChainParams
 from .probe import ProbeState, mean_photon_number
 
@@ -26,15 +27,28 @@ _T_MAX_ENVELOPE_FACTOR = 8.0
 # line configurations with less weight than this may alias (bandwidth estimator)
 _ALIAS_MASS_FLOOR = 1e-6
 _IMAG_RESIDUAL_LIMIT = 1e-6
+# auto grid: Nyquist headroom over the band estimate, sample count bounds (log2)
+_BAND_PAD = 2.0
+_MIN_SAMPLES_LOG2 = 10
+_MAX_SAMPLES_LOG2 = 22
+# below this |S| peak a spectrum counts as empty
+_NOISE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Resolved sampling for the FFT path."""
+    """Resolved sampling for the FFT path: 2^k samples on [-t_max, t_max)."""
 
     t_max: float
     n_samples: int
     omega_estimate: float | None = None
+
+    def __post_init__(self) -> None:
+        n = self.n_samples
+        if not isinstance(n, numbers.Integral) or n < 2 or n & (n - 1):
+            raise ConfigError(f"n_samples must be a power of two >= 2, got {n!r}")
+        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
+            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max!r}")
 
 
 @dataclass(frozen=True)
@@ -72,34 +86,37 @@ class Spectrum:
     frequencies: np.ndarray
     values: np.ndarray
     imag_residual: float = 0.0
-    metrics: BroadeningMetrics | None = None
-
-    def with_metrics(self, metrics: BroadeningMetrics) -> "Spectrum":
-        return replace(self, metrics=metrics)
 
 
-def _required_branches(state: ProbeState, weight_floor: float) -> list[int]:
+def _populated_branches(table: ModeTable, state: ProbeState) -> dict[int, float]:
+    """Branch n -> weight n |c_n|^2 for every n >= 1 the probe populates, ascending.
+
+    Raises ConfigError when a populated branch lies beyond the table.
+    """
     weights = state.branch_weights()
-    return [n for n in range(1, len(weights)) if weights[n] > weight_floor]
-
-
-def _check_branches(table: ModeTable, branches: list[int]) -> None:
+    branches = {n: weights[n] for n in range(1, len(weights)) if weights[n] > 0.0}
     for n in branches:
         if n > table.n_max:
             raise ConfigError(
                 f"probe populates branch {n} but the mode table stops at "
                 f"n_max={table.n_max}; rebuild the table with a larger cutoff"
             )
+    return branches
+
+
+def weighted_echo(table: ModeTable, state: ProbeState, t):
+    """sum_n n |c_n|^2 D_{n,n-1}(t) over the populated branches, in ascending n.
+
+    This is S(t) without the exp(-Gamma |t|) envelope; t is an array.
+    """
+    acc = np.zeros(np.shape(t), dtype=complex)
+    for n, weight in _populated_branches(table, state).items():
+        acc += weight * decoherence_factor(table, n, t)
+    return acc
 
 
 def auto_time_grid(
-    params: ChainParams,
-    table: ModeTable,
-    state: ProbeState,
-    weight_floor: float = 0.0,
-    pad: float = 2.0,
-    min_samples: int = 1024,
-    max_samples: int = 1 << 22,
+    params: ChainParams, table: ModeTable, state: ProbeState
 ) -> TimeGrid:
     """Pick t_max and a power-of-two sample count for the FFT path.
 
@@ -111,7 +128,7 @@ def auto_time_grid(
     greedily (heaviest first) while their cumulative weight stays above a
     small alias floor; configs below it carry too little mass to matter.
     The padded estimate is echoed in the grid so output headers can record
-    it.
+    it.  A grid that would need more than 2^22 samples raises CapacityError.
     """
     if params.gamma_over_b <= 0.0:
         raise ConfigError(
@@ -119,10 +136,8 @@ def auto_time_grid(
         )
     t_max = _T_MAX_ENVELOPE_FACTOR / params.gamma_over_b
 
-    branches = _required_branches(state, weight_floor)
-    _check_branches(table, branches)
     omega_max = 0.0
-    for n in branches:
+    for n in _populated_branches(table, state):
         coeffs = mode_coefficients(table.alpha[n], table.alpha[n - 1])
         flip_mass = np.abs(coeffs.pp) + np.abs(coeffs.mm)
         eps_n, eps_p = table.epsilon[n], table.epsilon[n - 1]
@@ -140,16 +155,19 @@ def auto_time_grid(
                 float(np.sum(reaches[keep])), float(np.max(reach[qualifying]))
             )
         omega_max = max(omega_max, carrier + flip_part)
-    omega_padded = pad * omega_max
+    omega_padded = _BAND_PAD * omega_max
 
-    n_samples = min_samples
+    exponent = _MIN_SAMPLES_LOG2
     if omega_padded > 0.0:
         needed = 2.0 * t_max * omega_padded / np.pi
-        n_samples = 1 << max(
-            int(math.ceil(math.log2(max(needed, 2.0)))), int(math.log2(min_samples))
+        exponent = max(exponent, math.ceil(math.log2(max(needed, 2.0))))
+    if exponent > _MAX_SAMPLES_LOG2:
+        raise CapacityError(
+            f"auto time grid needs 2^{exponent} samples to clear the band estimate "
+            f"{omega_padded:.4g} over t_max={t_max:g}, above the cap of "
+            f"2^{_MAX_SAMPLES_LOG2}; raise gamma_over_b or give an explicit grid"
         )
-    n_samples = min(n_samples, max_samples)
-    return TimeGrid(t_max=t_max, n_samples=n_samples, omega_estimate=omega_padded)
+    return TimeGrid(t_max=t_max, n_samples=1 << exponent, omega_estimate=omega_padded)
 
 
 def correlation_series(
@@ -158,29 +176,18 @@ def correlation_series(
     state: ProbeState,
     t_max: float,
     n_samples: int,
-    weight_floor: float = 0.0,
 ) -> CorrelationSeries:
     """S(t_j) = sum_n n |c_n|^2 D_{n,n-1}(t_j) exp(-Gamma |t_j|) on [-t_max, t_max).
 
-    Every branch populated above weight_floor must be covered by the table.
-    The echo is evaluated on the non-negative half-grid and mirrored via
+    Every populated branch must be covered by the table.  The echo is
+    evaluated on the non-negative half-grid and mirrored via
     S(-t) = conj(S(t)), which the real line weights make exact (bitwise, in
     fact, for correctly rounded trigonometry).
     """
-    if n_samples < 2 or n_samples & (n_samples - 1):
-        raise ConfigError(f"n_samples must be a power of two >= 2, got {n_samples!r}")
-    if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise ConfigError(f"t_max must be finite and > 0, got {t_max!r}")
-
-    branches = _required_branches(state, weight_floor)
-    _check_branches(table, branches)
-    weights = state.branch_weights()
-
+    TimeGrid(t_max=t_max, n_samples=n_samples)  # validates the grid
     dt = 2.0 * t_max / n_samples
     half = np.arange(n_samples // 2 + 1) * dt  # 0 .. t_max inclusive
-    positive = np.zeros(half.shape, dtype=complex)
-    for n in branches:
-        positive += weights[n] * decoherence_factor(table, n, half)
+    positive = weighted_echo(table, state, half)
     positive *= np.exp(-params.gamma_over_b * half)
 
     values = np.empty(n_samples, dtype=complex)
@@ -234,8 +241,6 @@ def spectrum_analytic(
     table: ModeTable,
     state: ProbeState,
     frequencies,
-    weight_floor: float = 0.0,
-    line_floor: float = 0.0,
 ) -> Spectrum:
     """Exact Lorentzian sum over the enumerated lines of every branch.
 
@@ -243,14 +248,11 @@ def spectrum_analytic(
     channels each); propagates its capacity error otherwise.
     """
     frequencies = np.asarray(frequencies, dtype=float)
-    branches = _required_branches(state, weight_floor)
-    _check_branches(table, branches)
-    weights = state.branch_weights()
     gamma = params.gamma_over_b
 
     values = np.zeros(frequencies.shape)
-    for n in branches:
-        decomp = enumerate_lines(table, n, weight_floor=line_floor)
+    for n, weight in _populated_branches(table, state).items():
+        decomp = enumerate_lines(table, n, weight_floor=0.0)
         for f_start in range(0, frequencies.size, 4096):
             f = frequencies[f_start : f_start + 4096]
             acc = np.zeros(f.shape)
@@ -261,15 +263,15 @@ def spectrum_analytic(
                     (2.0 * gamma * w)
                     / (gamma**2 + (f[:, None] - c[None, :]) ** 2)
                 ).sum(axis=1)
-            values[f_start : f_start + 4096] += weights[n] * acc
+            values[f_start : f_start + 4096] += weight * acc
     values.setflags(write=False)
     return Spectrum(frequencies=frequencies, values=values, imag_residual=0.0)
 
 
-def broadening_metrics(spec: Spectrum, noise_floor: float = 1e-12) -> BroadeningMetrics:
+def broadening_metrics(spec: Spectrum) -> BroadeningMetrics:
     """w90, entropy and normalized participation of the |S| distribution."""
     magnitude = np.abs(spec.values)
-    if magnitude.size == 0 or float(magnitude.max()) <= noise_floor:
+    if magnitude.size == 0 or float(magnitude.max()) <= _NOISE_FLOOR:
         raise DegenerateInputError("spectrum has no mass above the noise floor")
     p = magnitude / magnitude.sum()
     d_omega = float(spec.frequencies[1] - spec.frequencies[0])
@@ -324,12 +326,7 @@ def fitted_peak(spec: Spectrum, gamma: float, total_weight: float) -> tuple[floa
 
 
 def far_field_check(
-    params: ChainParams,
-    table: ModeTable,
-    state: ProbeState,
-    spectrum: Spectrum | None = None,
-    time_grid: TimeGrid | None = None,
-    weight_floor: float = 0.0,
+    params: ChainParams, table: ModeTable, state: ProbeState
 ) -> FarFieldReport:
     """Compare the spectrum against one Lorentzian of the full probe weight.
 
@@ -337,20 +334,13 @@ def far_field_check(
     the whole spectrum collapses onto a single line whose position is set by
     the branch ground-energy offset, not by lambda; one global frequency
     shift is therefore fitted before measuring the residual.  Near lambda=1
-    the returned deviation is large; it is reported, never asserted.
+    the returned deviation is large; it is reported, never asserted.  The
+    spectrum is computed on the auto time grid.
     """
-    if spectrum is None:
-        if time_grid is None:
-            time_grid = auto_time_grid(params, table, state, weight_floor=weight_floor)
-        series = correlation_series(
-            params,
-            table,
-            state,
-            time_grid.t_max,
-            time_grid.n_samples,
-            weight_floor=weight_floor,
-        )
-        spectrum = spectrum_fft(series)
+    grid = auto_time_grid(params, table, state)
+    spectrum = spectrum_fft(
+        correlation_series(params, table, state, grid.t_max, grid.n_samples)
+    )
     total = mean_photon_number(state)
     if total <= 0.0:
         raise DegenerateInputError("probe state carries no photon-number weight")
@@ -364,7 +354,6 @@ def threshold_crossing_time(
     state: ProbeState,
     threshold: float = 0.1,
     horizon: float | None = None,
-    weight_floor: float = 0.0,
 ) -> float:
     """First t >= 0 where |S(t)| / S(0) falls below threshold.
 
@@ -375,10 +364,7 @@ def threshold_crossing_time(
     """
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold!r}")
-    branches = _required_branches(state, weight_floor)
-    _check_branches(table, branches)
-    weights = state.branch_weights()
-    s0 = float(sum(weights[n] for n in branches))
+    s0 = float(sum(_populated_branches(table, state).values()))
     if s0 <= 0.0:
         raise DegenerateInputError("probe state carries no photon-number weight")
 
@@ -389,10 +375,7 @@ def threshold_crossing_time(
         )
 
     def ratio(ts: np.ndarray) -> np.ndarray:
-        acc = np.zeros(ts.shape, dtype=complex)
-        for n in branches:
-            acc += weights[n] * decoherence_factor(table, n, ts)
-        return np.abs(acc) * np.exp(-gamma * ts) / s0
+        return np.abs(weighted_echo(table, state, ts)) * np.exp(-gamma * ts) / s0
 
     split = min(20.0, horizon)
     ts = np.concatenate(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from isingspec import NumericsError
 from isingspec.cli import main
 
 
@@ -135,6 +136,28 @@ class TestSpectrumCommand:
             "gamma_over_b",
         }
 
+    def test_clipped_auto_grid_is_capacity_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(
+            cfg_path,
+            chain={"n_sites": 1000, "lambda": 1.0, "g_over_b": 0.08125, "gamma_over_b": 1e-4},
+            time_grid="auto",
+        )
+        result = runner.invoke(main, ["spectrum", "--config", str(cfg_path)])
+        assert result.exit_code == 3
+        assert "2^24 samples" in result.output
+
+    def test_numerics_error_exit_code(self, runner, tmp_path, monkeypatch):
+        def unsound(series):
+            raise NumericsError("imaginary residue too large")
+
+        monkeypatch.setattr("isingspec.cli.spectrum_fft", unsound)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        result = runner.invoke(main, ["spectrum", "--config", str(cfg_path)])
+        assert result.exit_code == 5
+        assert "imaginary residue" in result.output
+
 
 class TestSweepCommand:
     def test_single_value_sweep_matches_spectrum_metrics(self, runner, tmp_path):
@@ -159,13 +182,23 @@ class TestSweepCommand:
         result = runner.invoke(main, ["sweep", "--config", str(cfg_path)])
         assert result.exit_code == 2
 
-    def test_threads_do_not_change_output(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["sweep", "spectrum", "correlation"])
+    def test_threads_do_not_change_output(self, runner, tmp_path, command):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sweep=[0.5, 1.0, 2.0])
-        runner.invoke(main, ["sweep", "--config", str(cfg_path), "--threads", "1"])
-        serial = (tmp_path / "out" / "sweep_metrics.json").read_bytes()
-        runner.invoke(main, ["sweep", "--config", str(cfg_path), "--threads", "3"])
-        assert (tmp_path / "out" / "sweep_metrics.json").read_bytes() == serial
+        out = tmp_path / "out"
+
+        def outputs(threads):
+            args = [command, "--config", str(cfg_path), "--threads", threads]
+            assert runner.invoke(main, args).exit_code == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        serial = outputs("1")
+        if command == "sweep":
+            assert set(serial) == {"sweep_metrics.json"}
+        else:
+            assert len(serial) == (6 if command == "spectrum" else 3)
+        assert outputs("3") == serial
 
 
 class TestLinesCommand:
@@ -198,6 +231,14 @@ class TestOracleCheckCommand:
         report = json.loads((tmp_path / "out" / "oracle_check.json").read_text())["report"]
         assert report["ok"]
         assert report["max_echo_deviation"] < 1e-8
+
+    def test_scalar_list_field_is_config_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"oracle": {"lambdas": 1.0}, "output": str(tmp_path / "out")}
+        cfg_path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["oracle-check", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        assert "config.oracle.lambdas" in result.output
 
     def test_oversized_request_is_capacity_error(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from isingspec import (
+    CapacityError,
     ChainParams,
     ConfigError,
     DegenerateInputError,
     Spectrum,
+    TimeGrid,
     auto_time_grid,
     broadening_metrics,
     build_mode_table,
     coherent_state,
     correlation_series,
+    decoherence_factor,
     far_field_check,
     fock_superposition,
     lorentzian,
@@ -20,6 +23,7 @@ from isingspec import (
     spectrum_analytic,
     spectrum_fft,
     threshold_crossing_time,
+    weighted_echo,
 )
 
 
@@ -85,6 +89,25 @@ class TestCorrelationSeries:
             correlation_series(p, table, state, 50.0, 300)  # not a power of two
         with pytest.raises(ConfigError):
             correlation_series(p, table, state, -1.0, 256)
+
+    def test_weighted_echo_is_the_branch_sum(self):
+        p = params_for(n_sites=20, lam=0.9)
+        state = coherent_state(1.0)
+        weights = state.branch_weights()
+        assert np.count_nonzero(weights[1:]) > 5
+        table = build_mode_table(p, n_max=state.n_max)
+        t = np.linspace(0.0, 60.0, 301)
+        expected = np.zeros(t.shape, dtype=complex)
+        for n in range(1, len(weights)):
+            if weights[n] > 0.0:
+                expected += weights[n] * decoherence_factor(table, n, t)
+        np.testing.assert_array_equal(weighted_echo(table, state, t), expected)
+
+    def test_weighted_echo_missing_branch_is_config_error(self):
+        p = params_for()
+        table = build_mode_table(p, n_max=1)
+        with pytest.raises(ConfigError, match="branch 2"):
+            weighted_echo(table, fock_superposition([0, 1, 1]), np.zeros(4))
 
 
 class TestSpectrumFFT:
@@ -224,6 +247,26 @@ class TestAutoTimeGrid:
         # Nyquist clears the padded estimate
         nyquist = math.pi * grid.n_samples / (2 * grid.t_max)
         assert nyquist >= grid.omega_estimate
+
+    def test_clipped_sample_count_is_capacity_error(self):
+        # Nyquist 82 on the 2^22 cap against a padded band estimate of 221
+        p = params_for(n_sites=1000, lam=1.0, g_over_b=0.08125, gamma_over_b=1e-4)
+        table = build_mode_table(p, n_max=1)
+        with pytest.raises(CapacityError, match=r"2\^24 samples"):
+            auto_time_grid(p, table, fock_superposition([1, 1]))
+
+    @pytest.mark.parametrize(
+        "t_max, n_samples, field",
+        [
+            (0.0, 256, "t_max"),
+            (math.inf, 256, "t_max"),
+            (100.0, 1000, "n_samples"),
+            (100.0, 1024.0, "n_samples"),
+        ],
+    )
+    def test_time_grid_rejects_bad_fields(self, t_max, n_samples, field):
+        with pytest.raises(ConfigError, match=field):
+            TimeGrid(t_max=t_max, n_samples=n_samples)
 
     def test_gamma_zero_demands_explicit_grid(self):
         p = params_for(gamma_over_b=0.0)
