@@ -36,6 +36,7 @@ from .params import ChainParams, PhysicalParams, derive_chain_params
 from .probe import ProbeState, coherent_state, fock_superposition
 from .spectrum import (
     TimeGrid,
+    _check_grid_band,
     _populated_branches,
     auto_time_grid,
     broadening_metrics,
@@ -246,31 +247,46 @@ def _lambda_tag(lam: float) -> str:
     return ("%g" % lam).replace("-", "m")
 
 
-def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
-    """Output directory, and finish(params, grid, series) per lambda in sweep order.
+def _echo_paths(written: list[list[Path]]) -> None:
+    for paths in written:
+        for path in paths:
+            click.echo(str(path))
 
-    Chain, probe, sweep and an explicit time grid are parsed once, up front.
-    Each worker then builds the table, resolves the grid (auto unless given)
-    and computes the correlation series of its lambda, and hands them to
-    finish; only what finish returns is held until the pool drains.
+
+def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
+    """Output directory, and finish(out, params, grid, series) per lambda in sweep order.
+
+    Chain, probe, sweep and an explicit time grid are parsed once, and the
+    mode tables built, before the pool starts; an explicit grid whose
+    Nyquist frequency falls below the band estimate of any lambda is a
+    config error.  Each worker then resolves the grid (auto unless given),
+    computes the correlation series of its lambda and hands it to finish,
+    which writes what it needs and returns what the caller keeps, so a
+    series is dropped as soon as its own lambda is done.
     """
     chain = parse_chain(cfg)
     state = parse_probe(cfg)
     sweep = parse_sweep(cfg, chain)
     grid = parse_time_grid(cfg)
-    out = _out_dir(cfg, out_flag)
-
-    def job(lam: float):
+    runs = []
+    for lam in sweep:
         params = dataclasses.replace(chain, lam=lam)
         table = build_mode_table(params, n_max=max(state.n_max, 1))
+        if grid is not None:
+            _check_grid_band(params, table, state, grid)
+        runs.append((params, table))
+    out = _out_dir(cfg, out_flag)
+
+    def job(run):
+        params, table = run
         resolved = grid if grid is not None else auto_time_grid(params, table, state)
         series = correlation_series(
             params, table, state, resolved.t_max, resolved.n_samples
         )
-        return finish(params, resolved, series)
+        return finish(out, params, resolved, series)
 
     with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-        return out, list(pool.map(job, sweep))
+        return out, list(pool.map(job, runs))
 
 
 def _metrics_record(params: ChainParams, metrics) -> dict:
@@ -339,10 +355,8 @@ def cmd_correlation(config_path: str, out_flag: str | None, threads: int) -> Non
 
     def action() -> None:
         cfg = _load_config(config_path)
-        out, results = _run_sweep(
-            cfg, out_flag, threads, lambda params, grid, series: (params, grid, series)
-        )
-        for params, grid, series in results:
+
+        def finish(out, params, grid, series):
             path = out / f"correlation_lambda_{_lambda_tag(params.lam)}.csv"
             rows = (
                 (t, v.real, v.imag, abs(v)) for t, v in zip(series.times, series.values)
@@ -353,7 +367,10 @@ def cmd_correlation(config_path: str, out_flag: str | None, threads: int) -> Non
                 ["t", "re_S", "im_S", "abs_S"],
                 rows,
             )
-            click.echo(str(path))
+            return [path]
+
+        _, written = _run_sweep(cfg, out_flag, threads, finish)
+        _echo_paths(written)
 
     _run(action)
 
@@ -368,12 +385,9 @@ def cmd_spectrum(config_path: str, out_flag: str | None, threads: int) -> None:
     def action() -> None:
         cfg = _load_config(config_path)
 
-        def finish(params, grid, series):
+        def finish(out, params, grid, series):
             spec = spectrum_fft(series)
-            return params, grid, spec, broadening_metrics(spec)
-
-        out, results = _run_sweep(cfg, out_flag, threads, finish)
-        for params, grid, spec, metrics in results:
+            metrics = broadening_metrics(spec)
             tag = _lambda_tag(params.lam)
             csv_path = out / f"spectrum_lambda_{tag}.csv"
             _write_csv(
@@ -391,8 +405,10 @@ def cmd_spectrum(config_path: str, out_flag: str | None, threads: int) -> None:
                     "metrics": _metrics_record(params, metrics),
                 },
             )
-            click.echo(str(csv_path))
-            click.echo(str(json_path))
+            return [csv_path, json_path]
+
+        _, written = _run_sweep(cfg, out_flag, threads, finish)
+        _echo_paths(written)
 
     _run(action)
 
@@ -409,7 +425,7 @@ def cmd_sweep(config_path: str, out_flag: str | None, threads: int) -> None:
         if "sweep" not in cfg:
             raise ConfigError("config.sweep: required by the sweep command")
 
-        def finish(params, _grid, series):
+        def finish(_out, params, _grid, series):
             return _metrics_record(params, broadening_metrics(spectrum_fft(series)))
 
         out, records = _run_sweep(cfg, out_flag, threads, finish)

@@ -121,21 +121,37 @@ def auto_time_grid(
     """Pick t_max and a power-of-two sample count for the FFT path.
 
     t_max = 8 / (Gamma/B) resolves the Lorentzian width.  The Nyquist
-    frequency must clear every line configuration carrying visible weight:
-    the carrier reach sum_k |eps_n - eps_prev| plus the reach of flipped
-    modes.  A config flipping modes S has weight ~ prod_S flip_mass and sits
-    up to sum_S (eps_n + eps_prev) further out, so flips are included
-    greedily (heaviest first) while their cumulative weight stays above a
-    small alias floor; configs below it carry too little mass to matter.
-    The padded estimate is echoed in the grid so output headers can record
-    it.  A grid that would need more than 2^22 samples raises CapacityError.
+    frequency must clear the band estimate of every populated branch,
+    padded by a factor of two.  The padded estimate is echoed in the grid
+    so output headers can record it.  A grid that would need more than
+    2^22 samples raises CapacityError.
     """
     if params.gamma_over_b <= 0.0:
         raise ConfigError(
             "auto time grid needs gamma_over_b > 0; give an explicit grid instead"
         )
     t_max = _T_MAX_ENVELOPE_FACTOR / params.gamma_over_b
+    omega_padded = _BAND_PAD * _band_estimate(table, state)
+    exponent = _samples_log2(t_max, omega_padded)
+    if exponent > _MAX_SAMPLES_LOG2:
+        raise CapacityError(
+            f"auto time grid needs 2^{exponent} samples to clear the band estimate "
+            f"{omega_padded:.4g} over t_max={t_max:g}, above the cap of "
+            f"2^{_MAX_SAMPLES_LOG2}; raise gamma_over_b or give an explicit grid"
+        )
+    return TimeGrid(t_max=t_max, n_samples=1 << exponent, omega_estimate=omega_padded)
 
+
+def _band_estimate(table: ModeTable, state: ProbeState) -> float:
+    """Unpadded reach of the line configurations that carry visible weight.
+
+    Per branch: the carrier reach sum_k |eps_n - eps_prev| plus the reach of
+    flipped modes.  A config flipping modes S has weight ~ prod_S flip_mass
+    and sits up to sum_S (eps_n + eps_prev) further out, so flips are
+    included greedily (heaviest first) while their cumulative weight stays
+    above a small alias floor; configs below it carry too little mass to
+    matter.  The maximum over populated branches is returned.
+    """
     omega_max = 0.0
     for n in _populated_branches(table, state):
         coeffs = mode_coefficients(table.alpha[n], table.alpha[n - 1])
@@ -155,19 +171,35 @@ def auto_time_grid(
                 float(np.sum(reaches[keep])), float(np.max(reach[qualifying]))
             )
         omega_max = max(omega_max, carrier + flip_part)
-    omega_padded = _BAND_PAD * omega_max
+    return omega_max
 
+
+def _samples_log2(t_max: float, omega: float) -> int:
+    """log2 of the auto sample count: at least 2^10, Nyquist over t_max clears omega."""
     exponent = _MIN_SAMPLES_LOG2
-    if omega_padded > 0.0:
-        needed = 2.0 * t_max * omega_padded / np.pi
+    if omega > 0.0:
+        needed = 2.0 * t_max * omega / np.pi
         exponent = max(exponent, math.ceil(math.log2(max(needed, 2.0))))
-    if exponent > _MAX_SAMPLES_LOG2:
-        raise CapacityError(
-            f"auto time grid needs 2^{exponent} samples to clear the band estimate "
-            f"{omega_padded:.4g} over t_max={t_max:g}, above the cap of "
-            f"2^{_MAX_SAMPLES_LOG2}; raise gamma_over_b or give an explicit grid"
+    return exponent
+
+
+def _check_grid_band(
+    params: ChainParams, table: ModeTable, state: ProbeState, grid: TimeGrid
+) -> None:
+    """Raise ConfigError when an explicit grid's Nyquist pi/dt is below the band estimate.
+
+    The unpadded estimate is the bound: the auto rule's factor-two pad is
+    headroom, not a requirement.
+    """
+    nyquist = math.pi * grid.n_samples / (2.0 * grid.t_max)
+    band = _band_estimate(table, state)
+    if nyquist < band:
+        auto_samples = 1 << _samples_log2(grid.t_max, _BAND_PAD * band)
+        raise ConfigError(
+            f"config.time_grid: at lambda={params.lam:g} the Nyquist frequency "
+            f"{nyquist:.4g} is below the band estimate {band:.4g}; the auto rule "
+            f"would pick n_samples={auto_samples} for t_max={grid.t_max:g}"
         )
-    return TimeGrid(t_max=t_max, n_samples=1 << exponent, omega_estimate=omega_padded)
 
 
 def correlation_series(
@@ -305,6 +337,11 @@ class FarFieldReport:
     total_weight: float
 
 
+def _l2_norm(x: np.ndarray) -> float:
+    """Euclidean norm; np.linalg.norm's threaded BLAS call costs more than the sum."""
+    return math.sqrt(float(np.sum(x * x)))
+
+
 def fitted_peak(spec: Spectrum, gamma: float, total_weight: float) -> tuple[float, float]:
     """Best-fit center of total_weight * L(omega - s) and its relative L2 error."""
     values = spec.values
@@ -314,7 +351,7 @@ def fitted_peak(spec: Spectrum, gamma: float, total_weight: float) -> tuple[floa
 
     def mismatch(shift: float) -> float:
         model = total_weight * lorentzian(frequencies, shift, gamma)
-        return float(np.linalg.norm(values - model) / np.linalg.norm(model))
+        return _l2_norm(values - model) / _l2_norm(model)
 
     result = minimize_scalar(
         mismatch,

@@ -321,6 +321,34 @@ class TestConfigValidation:
         assert result.exit_code == 2
         assert "n_samples" in result.output
 
+    def test_explicit_grid_below_band_is_config_error(self, runner, tmp_path):
+        # Nyquist pi/dt = 3.14 against a band estimate of 110.4; fails before
+        # any series is computed or any output directory is made
+        cfg_path = tmp_path / "cfg.json"
+        write_config(
+            cfg_path,
+            chain={"n_sites": 1000, "lambda": 1.0, "g_over_b": 0.08125, "gamma_over_b": 0.0039},
+            time_grid={"t_max": 2051.0, "n_samples": 4096},
+        )
+        result = runner.invoke(main, ["spectrum", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        for part in ("lambda=1 ", "Nyquist frequency 3.137", "estimate 110.4", "n_samples=524288"):
+            assert part in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_explicit_grid_checked_against_unpadded_band(self, runner, tmp_path):
+        # Nyquist 50.19 clears the unpadded estimate 25.36 but not the auto
+        # rule's padded 50.71: the grid is accepted
+        cfg_path = tmp_path / "cfg.json"
+        write_config(
+            cfg_path,
+            chain={"n_sites": 16, "lambda": 5.0, "g_over_b": 0.08125, "gamma_over_b": 0.0039},
+            time_grid={"t_max": 8.0 / 0.0039, "n_samples": 65536},
+            sweep=[5.0],
+        )
+        result = runner.invoke(main, ["sweep", "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+
     def test_duplicate_sweep_values(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sweep=[1.0, 1.0])

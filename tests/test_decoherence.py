@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from isingspec import (
     CapacityError,
     ChainParams,
+    ModeCoefficients,
     build_mode_table,
     decoherence_factor,
     enumerate_lines,
@@ -17,8 +18,45 @@ from isingspec import (
 )
 
 
+# half-grid spacing of the auto grid at Gamma/B = 0.0039 (t_max = 8/Gamma)
+# with 2^16 samples; a full 53-bit mantissa, so j * dt rounds
+UNIFORM_DT = 2.0 * (8.0 / 0.0039) / 65536
+
+
 def params_for(n_sites=8, lam=1.0, g_over_b=0.1):
     return ChainParams(n_sites=n_sites, lam=lam, g_over_b=g_over_b, gamma_over_b=0.0)
+
+
+def loop_reference(table, n, t):
+    """The per-mode loop: mode_factor per momentum pair, ascending k."""
+    c = mode_coefficients(table.alpha[n], table.alpha[n - 1])
+    acc = np.ones(np.shape(t), dtype=complex)
+    for j in range(table.momenta.size):
+        coeffs = ModeCoefficients(pp=c.pp[j], pm=c.pm[j], mp=c.mp[j], mm=c.mm[j])
+        acc *= mode_factor(coeffs, table.epsilon[n][j], table.epsilon[n - 1][j], t)
+    return acc
+
+
+def longdouble_echo(table, n, times):
+    """The echo product in extended precision at longdouble times.
+
+    Weights and tone frequencies are the kernel's own float64 inputs, so
+    the difference measures the kernel's arithmetic alone.
+    """
+    c = mode_coefficients(table.alpha[n], table.alpha[n - 1])
+    cs, ds, cq, dq = (
+        np.asarray(w, dtype=np.longdouble)
+        for w in (c.pp + c.mm, c.pp - c.mm, c.pm + c.mp, c.pm - c.mp)
+    )
+    ws = (table.epsilon[n] + table.epsilon[n - 1]).astype(np.longdouble)
+    wq = (table.epsilon[n] - table.epsilon[n - 1]).astype(np.longdouble)
+    acc = np.ones(times.shape, dtype=np.clongdouble)
+    for j in range(ws.size):
+        s, q = ws[j] * times, wq[j] * times
+        acc *= cs[j] * np.cos(s) + cq[j] * np.cos(q) + 1j * (
+            ds[j] * np.sin(s) + dq[j] * np.sin(q)
+        )
+    return acc
 
 
 class TestModeCoefficients:
@@ -154,6 +192,49 @@ class TestDecoherenceFactor:
         scalar = decoherence_factor(table, 1, t)
         array = decoherence_factor(table, 1, np.array([t]))
         assert scalar == array[0]
+
+
+class TestBlockFactorizedPath:
+    """1-D grids t_j = j dt of at least 1024 samples take the block product."""
+
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 100.0])
+    @pytest.mark.parametrize("n_sites", [2, 16, 1000])
+    def test_error_against_extended_precision(self, n_sites, lam):
+        table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=0.08125), n_max=1)
+        # two whole blocks, a one-sample tail, and the 2^16 grid's half-grid
+        for length in (1024, 1025, 32769):
+            t = np.arange(length) * UNIFORM_DT
+            block = decoherence_factor(table, 1, t)
+            # every 13th sample (coprime to the block size of 512) and the last;
+            # a grid that does not start at t = 0 takes the per-mode loop
+            idx = np.r_[np.arange(3, length, 13), length - 1]
+            loop = decoherence_factor(table, 1, t[idx])
+            assert np.any(block[idx] != loop)  # the uniform grid took the block path
+            # against the nominal times j dt, and against the float t_j the
+            # block path corrects its split t_aB + t_b onto
+            nominal = idx.astype(np.longdouble) * UNIFORM_DT
+            for times in (nominal, t[idx].astype(np.longdouble)):
+                exact = longdouble_echo(table, 1, times)
+                block_error = float(np.max(np.abs(block[idx] - exact)))
+                loop_error = float(np.max(np.abs(loop - exact)))
+                assert block_error <= 2.0 * loop_error + 1e-15, (
+                    length, block_error, loop_error
+                )
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.linspace(0.1, 300.0, 4096),  # uniform, but not from t = 0
+            np.arange(1023) * UNIFORM_DT,  # one sample short of two blocks
+            (np.arange(2048) * UNIFORM_DT).reshape(2, 1024),  # not 1-D
+        ],
+        ids=["linspace", "short", "2d"],
+    )
+    def test_other_grids_keep_the_loop_bitwise(self, t):
+        table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
+        np.testing.assert_array_equal(
+            decoherence_factor(table, 1, t), loop_reference(table, 1, t)
+        )
 
 
 class TestEnumerateLines:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingspec import (
     CapacityError,
@@ -108,6 +109,46 @@ class TestCorrelationSeries:
         table = build_mode_table(p, n_max=1)
         with pytest.raises(ConfigError, match="branch 2"):
             weighted_echo(table, fock_superposition([0, 1, 1]), np.zeros(4))
+
+
+# probe states for the property tests: Fock superpositions of up to four
+# levels with a populated excited level, and coherent states, alpha <= 1.5
+probes = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=4)
+    .filter(lambda c: max(abs(x) for x in c[1:]) > 1e-3)
+    .map(fock_superposition),
+    st.floats(0.1, 1.5).map(lambda alpha: coherent_state(alpha, tail_tol=1e-8)),
+)
+
+
+class TestUniformGridProperties:
+    """Invariants at random (N, lambda, g, probe) on a uniform grid.
+
+    2048 samples give a 1025-point half-grid t_j = j dt, so both the branch
+    echoes and S(t) come from the block-factorized product.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_sites=st.integers(1, 32).map(lambda k: 2 * k),
+        lam=st.floats(0.0, 5.0),
+        g_over_b=st.floats(0.0, 0.2),
+        state=probes,
+    )
+    def test_echo_and_series_invariants(self, n_sites, lam, g_over_b, state):
+        p = params_for(n_sites=n_sites, lam=lam, g_over_b=g_over_b)
+        table = build_mode_table(p, n_max=max(state.n_max, 1))
+        series = correlation_series(p, table, state, 200.0, 2048)
+        mid = series.n_samples // 2
+        half = np.arange(mid + 1) * (400.0 / 2048)  # the grid correlation_series uses
+        for n in range(1, state.n_max + 1):
+            echo = decoherence_factor(table, n, half)
+            assert abs(echo[0] - 1.0) <= 1e-12
+            assert np.max(np.abs(echo)) <= 1.0 + 1e-12
+        np.testing.assert_array_equal(
+            series.values[mid + 1 :], np.conj(series.values[1:mid][::-1])
+        )
+        assert abs(series.values[mid] - mean_photon_number(state)) <= 1e-12
 
 
 class TestSpectrumFFT:
