@@ -115,30 +115,36 @@ def _complex(value, path: str) -> complex:
     raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
 
 
-def parse_chain(cfg: dict) -> ChainParams:
-    section = _require(cfg, "chain", "config")
+# config.chain key, ChainParams field, parser
+_CHAIN_KEYS = (
+    ("n_sites", "n_sites", _integer),
+    ("lambda", "lam", _number),
+    ("g_over_b", "g_over_b", _number),
+    ("gamma_over_b", "gamma_over_b", _number),
+)
+
+
+def _section(cfg: dict, key: str) -> dict:
+    section = _require(cfg, key, "config")
     if not isinstance(section, dict):
-        raise ConfigError("config.chain: expected an object")
+        raise ConfigError(f"config.{key}: expected an object")
+    return section
+
+
+def parse_chain(cfg: dict) -> ChainParams:
+    section = _section(cfg, "chain")
+    fields = {
+        field: parse(_require(section, key, "config.chain"), f"config.chain.{key}")
+        for key, field, parse in _CHAIN_KEYS
+    }
     try:
-        return ChainParams(
-            n_sites=_integer(_require(section, "n_sites", "config.chain"), "config.chain.n_sites"),
-            lam=_number(_require(section, "lambda", "config.chain"), "config.chain.lambda"),
-            g_over_b=_number(
-                _require(section, "g_over_b", "config.chain"), "config.chain.g_over_b"
-            ),
-            gamma_over_b=_number(
-                _require(section, "gamma_over_b", "config.chain"),
-                "config.chain.gamma_over_b",
-            ),
-        )
+        return ChainParams(**fields)
     except ParameterError as exc:
         raise ConfigError(f"config.chain: {exc}")
 
 
 def parse_probe(cfg: dict) -> ProbeState:
-    section = _require(cfg, "probe", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("config.probe: expected an object")
+    section = _section(cfg, "probe")
     kind = _require(section, "type", "config.probe")
     if kind == "fock":
         coeffs = _require(section, "coefficients", "config.probe")
@@ -220,23 +226,36 @@ def _header_lines(cfg: dict, grid: TimeGrid | None = None) -> list[str]:
     return lines
 
 
-def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header:
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    return path
 
 
-def _meta(cfg: dict) -> dict:
-    return {"tool": "isingspec", "version": __version__, "config": cfg}
+def _write_report(path: Path, cfg: dict, **fields) -> Path:
+    """Write {"meta": tool, version and config, **fields} as JSON."""
+    meta = {"tool": "isingspec", "version": __version__, "config": cfg}
+    return _write_json(path, {"meta": meta, **fields})
+
+
+def _write_metrics(path: Path, cfg: dict, **fields) -> Path:
+    return _write_report(
+        path,
+        cfg,
+        participation_normalization="inverse participation ratio divided by grid size",
+        **fields,
+    )
 
 
 def _threads(count: int) -> int:
@@ -245,12 +264,6 @@ def _threads(count: int) -> int:
 
 def _lambda_tag(lam: float) -> str:
     return ("%g" % lam).replace("-", "m")
-
-
-def _echo_paths(written: list[list[Path]]) -> None:
-    for paths in written:
-        for path in paths:
-            click.echo(str(path))
 
 
 def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
@@ -301,176 +314,127 @@ def _metrics_record(params: ChainParams, metrics) -> dict:
     }
 
 
-def _run(action) -> None:
-    try:
-        action()
-    except CapacityError as exc:
-        _fail(EXIT_CAPACITY, str(exc))
-    except NumericsError as exc:
-        _fail(EXIT_NUMERICS, str(exc))
-    except IsingSpecError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
-
-config_option = click.option(
-    "--config", "config_path", required=True, type=click.Path(), help="JSON config file"
-)
-out_option = click.option("--out", "out_flag", default=None, help="output directory")
-threads_option = click.option(
-    "--threads", default=0, show_default=True, help="sweep workers (0 = auto)"
-)
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="isingspec")
 def main() -> None:
     """Spectroscopy of a transverse-field Ising chain through a lossy resonator."""
 
 
-@main.command("dispersion")
-@config_option
-@out_option
-def cmd_dispersion(config_path: str, out_flag: str | None) -> None:
+def _command(name: str, sweep: bool = False):
+    """Register body(cfg, out_flag[, threads]) as subcommand name.
+
+    The subcommand takes --config and --out, plus --threads when it runs a
+    sweep.  It loads the config, echoes each path the body yields as it is
+    yielded, and turns package errors into exit codes.
+    """
+
+    def register(body):
+        def command(config_path: str, out_flag: str | None, **options) -> None:
+            try:
+                for path in body(_load_config(config_path), out_flag, **options):
+                    click.echo(str(path))
+            except CapacityError as exc:
+                _fail(EXIT_CAPACITY, str(exc))
+            except NumericsError as exc:
+                _fail(EXIT_NUMERICS, str(exc))
+            except IsingSpecError as exc:
+                _fail(EXIT_CONFIG, str(exc))
+
+        params = [
+            click.Option(
+                ["--config", "config_path"],
+                required=True,
+                type=click.Path(),
+                help="JSON config file",
+            ),
+            click.Option(["--out", "out_flag"], default=None, help="output directory"),
+        ]
+        if sweep:
+            params.append(
+                click.Option(
+                    ["--threads"], default=0, show_default=True, help="sweep workers (0 = auto)"
+                )
+            )
+        return main.command(name, params=params, help=body.__doc__)(command)
+
+    return register
+
+
+@_command("dispersion")
+def cmd_dispersion(cfg: dict, out_flag: str | None):
     """Write (k, epsilon_k, theta_k) rows for the configured lambda."""
-
-    def action() -> None:
-        cfg = _load_config(config_path)
-        chain = parse_chain(cfg)
-        out = _out_dir(cfg, out_flag)
-        k = momentum_grid(chain.n_sites)
-        rows = zip(k, dispersion(k, chain.lam), bogoliubov_angle(k, chain.lam))
-        path = out / "dispersion.csv"
-        _write_csv(path, _header_lines(cfg), ["k", "epsilon", "theta"], rows)
-        click.echo(str(path))
-
-    _run(action)
+    chain = parse_chain(cfg)
+    out = _out_dir(cfg, out_flag)
+    k = momentum_grid(chain.n_sites)
+    rows = zip(k, dispersion(k, chain.lam), bogoliubov_angle(k, chain.lam))
+    path = out / "dispersion.csv"
+    yield _write_csv(path, _header_lines(cfg), ["k", "epsilon", "theta"], rows)
 
 
-@main.command("correlation")
-@config_option
-@out_option
-@threads_option
-def cmd_correlation(config_path: str, out_flag: str | None, threads: int) -> None:
+@_command("correlation", sweep=True)
+def cmd_correlation(cfg: dict, out_flag: str | None, threads: int):
     """Write S(t) series, one CSV per lambda in the sweep."""
 
-    def action() -> None:
-        cfg = _load_config(config_path)
+    def finish(out, params, grid, series):
+        path = out / f"correlation_lambda_{_lambda_tag(params.lam)}.csv"
+        rows = ((t, v.real, v.imag, abs(v)) for t, v in zip(series.times, series.values))
+        columns = ["t", "re_S", "im_S", "abs_S"]
+        return [_write_csv(path, _header_lines(cfg, grid), columns, rows)]
 
-        def finish(out, params, grid, series):
-            path = out / f"correlation_lambda_{_lambda_tag(params.lam)}.csv"
-            rows = (
-                (t, v.real, v.imag, abs(v)) for t, v in zip(series.times, series.values)
-            )
-            _write_csv(
-                path,
-                _header_lines(cfg, grid),
-                ["t", "re_S", "im_S", "abs_S"],
-                rows,
-            )
-            return [path]
-
-        _, written = _run_sweep(cfg, out_flag, threads, finish)
-        _echo_paths(written)
-
-    _run(action)
+    _, written = _run_sweep(cfg, out_flag, threads, finish)
+    for paths in written:
+        yield from paths
 
 
-@main.command("spectrum")
-@config_option
-@out_option
-@threads_option
-def cmd_spectrum(config_path: str, out_flag: str | None, threads: int) -> None:
+@_command("spectrum", sweep=True)
+def cmd_spectrum(cfg: dict, out_flag: str | None, threads: int):
     """Write S(omega) CSV and a metrics JSON, one pair per lambda."""
 
-    def action() -> None:
-        cfg = _load_config(config_path)
+    def finish(out, params, grid, series):
+        spec = spectrum_fft(series)
+        metrics = _metrics_record(params, broadening_metrics(spec))
+        tag = _lambda_tag(params.lam)
+        csv_path = out / f"spectrum_lambda_{tag}.csv"
+        rows = zip(spec.frequencies, spec.values)
+        return [
+            _write_csv(csv_path, _header_lines(cfg, grid), ["omega", "S"], rows),
+            _write_metrics(out / f"metrics_lambda_{tag}.json", cfg, metrics=metrics),
+        ]
 
-        def finish(out, params, grid, series):
-            spec = spectrum_fft(series)
-            metrics = broadening_metrics(spec)
-            tag = _lambda_tag(params.lam)
-            csv_path = out / f"spectrum_lambda_{tag}.csv"
-            _write_csv(
-                csv_path,
-                _header_lines(cfg, grid),
-                ["omega", "S"],
-                zip(spec.frequencies, spec.values),
-            )
-            json_path = out / f"metrics_lambda_{tag}.json"
-            _write_json(
-                json_path,
-                {
-                    "meta": _meta(cfg),
-                    "participation_normalization": "inverse participation ratio divided by grid size",
-                    "metrics": _metrics_record(params, metrics),
-                },
-            )
-            return [csv_path, json_path]
-
-        _, written = _run_sweep(cfg, out_flag, threads, finish)
-        _echo_paths(written)
-
-    _run(action)
+    _, written = _run_sweep(cfg, out_flag, threads, finish)
+    for paths in written:
+        yield from paths
 
 
-@main.command("sweep")
-@config_option
-@out_option
-@threads_option
-def cmd_sweep(config_path: str, out_flag: str | None, threads: int) -> None:
+@_command("sweep", sweep=True)
+def cmd_sweep(cfg: dict, out_flag: str | None, threads: int):
     """Run the lambda sweep and write one metrics record per value."""
+    if "sweep" not in cfg:
+        raise ConfigError("config.sweep: required by the sweep command")
 
-    def action() -> None:
-        cfg = _load_config(config_path)
-        if "sweep" not in cfg:
-            raise ConfigError("config.sweep: required by the sweep command")
+    def finish(_out, params, _grid, series):
+        return _metrics_record(params, broadening_metrics(spectrum_fft(series)))
 
-        def finish(_out, params, _grid, series):
-            return _metrics_record(params, broadening_metrics(spectrum_fft(series)))
-
-        out, records = _run_sweep(cfg, out_flag, threads, finish)
-        path = out / "sweep_metrics.json"
-        _write_json(
-            path,
-            {
-                "meta": _meta(cfg),
-                "participation_normalization": "inverse participation ratio divided by grid size",
-                "results": records,
-            },
-        )
-        click.echo(str(path))
-
-    _run(action)
+    out, records = _run_sweep(cfg, out_flag, threads, finish)
+    yield _write_metrics(out / "sweep_metrics.json", cfg, results=records)
 
 
-@main.command("lines")
-@config_option
-@out_option
-def cmd_lines(config_path: str, out_flag: str | None) -> None:
+@_command("lines")
+def cmd_lines(cfg: dict, out_flag: str | None):
     """Write the exact (center, weight) line list per populated branch (small N)."""
-
-    def action() -> None:
-        cfg = _load_config(config_path)
-        chain = parse_chain(cfg)
-        state = parse_probe(cfg)
-        out = _out_dir(cfg, out_flag)
-        table = build_mode_table(chain, n_max=max(state.n_max, 1))
-        for n in list(_populated_branches(table, state)) or [1]:
-            decomp = enumerate_lines(table, n)
-            path = out / f"lines_branch_{n}.csv"
-            header = _header_lines(cfg) + [
-                f"# pruned_weight {_fmt(decomp.pruned_weight)} "
-                f"pruned_abs_weight {_fmt(decomp.pruned_abs_weight)}"
-            ]
-            _write_csv(
-                path,
-                header,
-                ["omega_center", "weight"],
-                zip(decomp.centers, decomp.weights),
-            )
-            click.echo(str(path))
-
-    _run(action)
+    chain = parse_chain(cfg)
+    state = parse_probe(cfg)
+    out = _out_dir(cfg, out_flag)
+    table = build_mode_table(chain, n_max=max(state.n_max, 1))
+    for n in list(_populated_branches(table, state)) or [1]:
+        decomp = enumerate_lines(table, n)
+        header = _header_lines(cfg) + [
+            f"# pruned_weight {_fmt(decomp.pruned_weight)} "
+            f"pruned_abs_weight {_fmt(decomp.pruned_abs_weight)}"
+        ]
+        path = out / f"lines_branch_{n}.csv"
+        rows = zip(decomp.centers, decomp.weights)
+        yield _write_csv(path, header, ["omega_center", "weight"], rows)
 
 
 # config.oracle key, comparison_suite keyword, parser
@@ -482,84 +446,53 @@ _ORACLE_KEYS = (
 )
 
 
-@main.command("oracle-check")
-@config_option
-@out_option
-def cmd_oracle_check(config_path: str, out_flag: str | None) -> None:
+@_command("oracle-check")
+def cmd_oracle_check(cfg: dict, out_flag: str | None):
     """Run the dense-diagonalization comparison suite; exit 4 on deviation."""
-
-    def action() -> None:
-        cfg = _load_config(config_path)
-        suite_cfg = cfg.get("oracle", {})
-        if not isinstance(suite_cfg, dict):
-            raise ConfigError("config.oracle: expected an object")
-        kwargs = {
-            keyword: parse(suite_cfg[key], f"config.oracle.{key}")
-            for key, keyword, parse in _ORACLE_KEYS
-            if key in suite_cfg
-        }
-        report = comparison_suite(**kwargs)
-        out = _out_dir(cfg, out_flag)
-        path = out / "oracle_check.json"
-        _write_json(path, {"meta": _meta(cfg), "report": report})
-        click.echo(str(path))
-        if not report["ok"]:
-            _fail(
-                EXIT_ORACLE,
-                "oracle deviation: max echo deviation "
-                f"{report['max_echo_deviation']:.3e}, max ground-energy deviation "
-                f"{report['max_ground_energy_deviation']:.3e} "
-                f"(tolerance {report['tolerance']:g})",
-            )
-
-    _run(action)
-
-
-@main.command("params")
-@config_option
-@out_option
-def cmd_params(config_path: str, out_flag: str | None) -> None:
-    """Derive dimensionless chain parameters from lab-frame device values."""
-
-    def action() -> None:
-        cfg = _load_config(config_path)
-        section = _require(cfg, "physical", "config")
-        if not isinstance(section, dict):
-            raise ConfigError("config.physical: expected an object")
-        n_sites = _integer(_require(cfg, "n_sites", "config"), "config.n_sites")
-        known = {field.name for field in dataclasses.fields(PhysicalParams)}
-        for key in section:
-            if key not in known:
-                raise ConfigError(f"config.physical.{key}: unknown field")
-        values = {
-            key: _number(value, f"config.physical.{key}") for key, value in section.items()
-        }
-        try:
-            phys = PhysicalParams(**values)
-        except (TypeError, ParameterError) as exc:
-            raise ConfigError(f"config.physical: {exc}")
-        try:
-            params, report = derive_chain_params(phys, n_sites)
-        except ParameterError as exc:
-            raise ConfigError(f"config: {exc}")
-        out = _out_dir(cfg, out_flag)
-        path = out / "params.json"
-        _write_json(
-            path,
-            {
-                "meta": _meta(cfg),
-                "chain": {
-                    "n_sites": params.n_sites,
-                    "lambda": params.lam,
-                    "g_over_b": params.g_over_b,
-                    "gamma_over_b": params.gamma_over_b,
-                },
-                "report": report,
-            },
+    suite_cfg = cfg.get("oracle", {})
+    if not isinstance(suite_cfg, dict):
+        raise ConfigError("config.oracle: expected an object")
+    kwargs = {
+        keyword: parse(suite_cfg[key], f"config.oracle.{key}")
+        for key, keyword, parse in _ORACLE_KEYS
+        if key in suite_cfg
+    }
+    report = comparison_suite(**kwargs)
+    path = _out_dir(cfg, out_flag) / "oracle_check.json"
+    yield _write_report(path, cfg, report=report)
+    if not report["ok"]:
+        _fail(
+            EXIT_ORACLE,
+            "oracle deviation: max echo deviation "
+            f"{report['max_echo_deviation']:.3e}, max ground-energy deviation "
+            f"{report['max_ground_energy_deviation']:.3e} "
+            f"(tolerance {report['tolerance']:g})",
         )
-        click.echo(str(path))
 
-    _run(action)
+
+@_command("params")
+def cmd_params(cfg: dict, out_flag: str | None):
+    """Derive dimensionless chain parameters from lab-frame device values."""
+    section = _section(cfg, "physical")
+    n_sites = _integer(_require(cfg, "n_sites", "config"), "config.n_sites")
+    known = {field.name for field in dataclasses.fields(PhysicalParams)}
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"config.physical.{key}: unknown field")
+    values = {
+        key: _number(value, f"config.physical.{key}") for key, value in section.items()
+    }
+    try:
+        phys = PhysicalParams(**values)
+    except (TypeError, ParameterError) as exc:
+        raise ConfigError(f"config.physical: {exc}")
+    try:
+        params, report = derive_chain_params(phys, n_sites)
+    except ParameterError as exc:
+        raise ConfigError(f"config: {exc}")
+    chain = {key: getattr(params, field) for key, field, _ in _CHAIN_KEYS}
+    path = _out_dir(cfg, out_flag) / "params.json"
+    yield _write_report(path, cfg, chain=chain, report=report)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import dispersion, momentum_grid
+from .chain import build_mode_table, dispersion, momentum_grid
+from .decoherence import decoherence_factor
 from .errors import CapacityError, ParameterError
 from .params import ChainParams, branch_lambda
 from .probe import ProbeState
@@ -204,9 +205,6 @@ def comparison_suite(
     report with per-case and overall maxima; ok is True when everything
     stays below tolerance.
     """
-    from .chain import build_mode_table
-    from .decoherence import decoherence_factor
-
     for n_sites in n_sites_list:
         if n_sites > MAX_DENSE_SITES:
             raise CapacityError(

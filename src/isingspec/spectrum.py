@@ -414,11 +414,11 @@ def threshold_crossing_time(
     def ratio(ts: np.ndarray) -> np.ndarray:
         return np.abs(weighted_echo(table, state, ts)) * np.exp(-gamma * ts) / s0
 
+    # each segment on its own, so the uniform head can take the block echo path
     split = min(20.0, horizon)
-    ts = np.concatenate(
-        [np.arange(0.0, split, 0.005), np.arange(split, horizon, 0.1)]
-    )
-    r = ratio(ts)
+    segments = [np.arange(0.0, split, 0.005), np.arange(split, horizon, 0.1)]
+    ts = np.concatenate(segments)
+    r = np.concatenate([ratio(segment) for segment in segments])
     below = np.nonzero(r < threshold)[0]
     if below.size == 0:
         return math.inf

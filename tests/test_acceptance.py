@@ -311,15 +311,11 @@ class TestCriterion6:
         ts = np.linspace(0.0, 3.0 / GAMMA_EXACT, 2000)
         envelope_dev = 0.0
         for state in (FOCK, coherent):
-            weights = state.branch_weights()
             envelopes = {}
             for lam in (100.0, 500.0):
                 params = chain(1000, lam, gamma=GAMMA_EXACT)
                 table = iq.build_mode_table(params, n_max=max(state.n_max, 1))
-                acc = np.zeros(ts.shape, dtype=complex)
-                for n in range(1, state.n_max + 1):
-                    if weights[n] > 0.0:
-                        acc += weights[n] * iq.decoherence_factor(table, n, ts)
+                acc = iq.weighted_echo(table, state, ts)
                 envelopes[lam] = np.abs(acc) * np.exp(-GAMMA_EXACT * ts)
             envelope_dev = max(
                 envelope_dev,

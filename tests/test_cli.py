@@ -240,6 +240,20 @@ class TestOracleCheckCommand:
         assert result.exit_code == 2
         assert "config.oracle.lambdas" in result.output
 
+    def test_deviation_prints_report_path_then_exits_4(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {
+            "oracle": {"n_sites_list": [2, 4], "tolerance": 1e-30},
+            "output": str(tmp_path / "out"),
+        }
+        cfg_path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["oracle-check", "--config", str(cfg_path)])
+        assert result.exit_code == 4
+        path = tmp_path / "out" / "oracle_check.json"
+        assert result.stdout == f"{path}\n"
+        assert not json.loads(path.read_text())["report"]["ok"]
+        assert "oracle deviation" in result.stderr
+
     def test_oversized_request_is_capacity_error(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg = {"oracle": {"n_sites_list": [14]}, "output": str(tmp_path / "out")}
@@ -361,3 +375,23 @@ class TestConfigValidation:
             main, ["dispersion", "--config", str(tmp_path / "missing.json")]
         )
         assert result.exit_code == 2
+
+
+class TestHelp:
+    COMMANDS = (
+        "dispersion", "correlation", "spectrum", "sweep", "lines", "oracle-check", "params"
+    )
+
+    def test_lists_every_subcommand(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        section = result.output.split("Commands:")[1].strip().splitlines()
+        assert [line.split()[0] for line in section] == sorted(self.COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_threads_only_on_sweeping_commands(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert "--config" in result.output and "--out" in result.output
+        sweeps = command in ("correlation", "spectrum", "sweep")
+        assert ("--threads" in result.output) == sweeps
