@@ -1,12 +1,19 @@
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingspec import NumericsError
-from isingspec.cli import main
+from isingspec.chain import build_mode_table
+from isingspec.cli import _CSV_CHUNK, _write_csv, main, parse_chain, parse_probe
+from isingspec.spectrum import CorrelationSeries, auto_time_grid
 
 
 @pytest.fixture
@@ -35,6 +42,52 @@ def read_rows(path):
             rows.append(line.rstrip("\n"))
     header, data = rows[0], rows[1:]
     return header.split(","), [list(map(float, r.split(","))) for r in data]
+
+
+def reference_csv(header, names, rows) -> bytes:
+    """The row-wise writer _write_csv must match bitwise."""
+    lines = header + [",".join(names)] + [",".join("%.17g" % v for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestWriteCsv:
+    SPECIAL = (-0.0, 0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+               1.0, -3.0, 2.0**53, 1e22)
+
+    @pytest.mark.parametrize(
+        "n_rows", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]
+    )
+    def test_matches_row_wise_writer(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        columns = {
+            "special": np.resize(np.array(self.SPECIAL), n_rows),
+            "random": rng.standard_normal(n_rows) * 10.0 ** rng.uniform(-300, 300, n_rows),
+            "integer": rng.integers(-(10**6), 10**6, n_rows).astype(float),
+        }
+        header = ["# one", "# two"]
+        path = _write_csv(tmp_path / "x.csv", header, columns)
+        rows = zip(*columns.values())
+        assert path.read_bytes() == reference_csv(header, list(columns), rows)
+
+    def test_correlation_abs_column_rounds_like_scalar_abs(self, runner, tmp_path, monkeypatch):
+        # np.abs and the scalar abs(complex) disagree in the last bit on a
+        # sizeable share of these values; the file must keep the scalar's
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        assert np.any(np.abs(values) != [abs(v) for v in values])
+        times = np.linspace(-200.0, 200.0, values.size, endpoint=False)
+
+        def crafted(params, table, state, t_max, n_samples):
+            return CorrelationSeries(t_max=t_max, times=times, values=values)
+
+        monkeypatch.setattr("isingspec.cli.correlation_series", crafted)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        assert runner.invoke(main, ["correlation", "--config", str(cfg_path)]).exit_code == 0
+        text = (tmp_path / "out" / "correlation_lambda_2.csv").read_bytes()
+        names = ["t", "re_S", "im_S", "abs_S"]
+        rows = ((t, v.real, v.imag, abs(v)) for t, v in zip(times, values))
+        assert text[text.index(b"t,re_S,") :] == reference_csv([], names, rows)
 
 
 class TestDispersionCommand:
@@ -201,6 +254,68 @@ class TestSweepCommand:
         assert outputs("3") == serial
 
 
+LAMBDAS = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0)
+FOCK = st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3).map(
+    lambda c: {"type": "fock", "coefficients": c}
+)
+COHERENT = st.floats(0.2, 1.5).map(lambda a: {"type": "coherent", "alpha": a})
+
+
+@st.composite
+def small_configs(draw):
+    """Even N <= 16, 1-3 lambda, a Fock or coherent probe, 2^10-2^13 samples clearing the band."""
+    cfg = {
+        "chain": {
+            "n_sites": 2 * draw(st.integers(1, 8)),
+            "lambda": 1.0,
+            "g_over_b": draw(st.sampled_from((0.05, 0.1))),
+            "gamma_over_b": 0.02,
+        },
+        "probe": draw(st.one_of(FOCK, COHERENT)),
+        "sweep": draw(st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=3, unique=True)),
+    }
+    chain, state = parse_chain(cfg), parse_probe(cfg)
+    omega = 0.0
+    for lam in cfg["sweep"]:
+        params = dataclasses.replace(chain, lam=lam)
+        table = build_mode_table(params, n_max=state.n_max)
+        omega = max(omega, auto_time_grid(params, table, state).omega_estimate)
+    n_samples = 1 << draw(st.integers(10, 13))
+    cfg["time_grid"] = {"t_max": n_samples * math.pi / (2.0 * omega), "n_samples": n_samples}
+    return cfg
+
+
+class TestCliProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=small_configs())
+    def test_files_present_and_independent_of_threads(self, cfg):
+        runner = CliRunner()
+        expected = {
+            "dispersion": {"dispersion.csv"},
+            "correlation": {f"correlation_lambda_{lam:g}.csv" for lam in cfg["sweep"]},
+            "spectrum": {
+                f"{kind}_lambda_{lam:g}.{ext}"
+                for lam in cfg["sweep"]
+                for kind, ext in (("spectrum", "csv"), ("metrics", "json"))
+            },
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            for command, names in expected.items():
+                outputs = []
+                for threads in ("1", "2"):
+                    out = Path(tmp) / f"{command}_{threads}"
+                    args = [command, "--config", str(cfg_path), "--out", str(out)]
+                    if command != "dispersion":
+                        args += ["--threads", threads]
+                    result = runner.invoke(main, args)
+                    assert result.exit_code == 0, result.output
+                    outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+                assert set(outputs[0]) == names
+                assert outputs[0] == outputs[1]
+
+
 class TestLinesCommand:
     def test_weights_sum_to_one(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -362,6 +477,18 @@ class TestConfigValidation:
         )
         result = runner.invoke(main, ["sweep", "--config", str(cfg_path)])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command", ["correlation", "spectrum"])
+    def test_colliding_lambda_tags_are_config_error(self, runner, tmp_path, command):
+        # %g keeps 6 significant digits: both values would write the "_1" files
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sweep=[1.0000001, 1.0000002])
+        args = [command, "--config", str(cfg_path), "--threads", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "1.0000001" in result.output and "1.0000002" in result.output
+        assert not (tmp_path / "out").exists()
+        assert runner.invoke(main, ["sweep", "--config", str(cfg_path)]).exit_code == 0
 
     def test_duplicate_sweep_values(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
