@@ -56,17 +56,16 @@ def bogoliubov_angle(k, lam):
 class ModeTable:
     """Per-branch, per-momentum data for photon branches 0 .. n_max.
 
-    epsilon[n, j] and theta[n, j] are the quasiparticle energy and angle of
-    branch n at momentum momenta[j]; alpha[n, j] is half the angle mismatch
-    against the uncoupled chain (theta_base), whose ground state everything
-    is referenced to.
+    epsilon[n, j] is the quasiparticle energy of branch n at momentum
+    momenta[j]; alpha[n, j] is half the mismatch of its Bogoliubov angle
+    against the uncoupled chain's (theta_base), whose ground state
+    everything is referenced to.
     """
 
     params: ChainParams
     momenta: np.ndarray  # (N/2,)
     theta_base: np.ndarray  # (N/2,) angle at the bare lambda
     epsilon: np.ndarray  # (n_max+1, N/2)
-    theta: np.ndarray  # (n_max+1, N/2)
     alpha: np.ndarray  # (n_max+1, N/2)
 
     @property
@@ -82,15 +81,13 @@ def build_mode_table(params: ChainParams, n_max: int) -> ModeTable:
     theta_base = bogoliubov_angle(k, params.lam)
     lams = np.array([branch_lambda(params, n) for n in range(n_max + 1)])
     epsilon = dispersion(k[None, :], lams[:, None])
-    theta = bogoliubov_angle(k[None, :], lams[:, None])
-    alpha = 0.5 * (theta - theta_base[None, :])
-    for arr in (k, theta_base, epsilon, theta, alpha):
+    alpha = 0.5 * (bogoliubov_angle(k[None, :], lams[:, None]) - theta_base[None, :])
+    for arr in (k, theta_base, epsilon, alpha):
         arr.setflags(write=False)
     return ModeTable(
         params=params,
         momenta=k,
         theta_base=theta_base,
         epsilon=epsilon,
-        theta=theta,
         alpha=alpha,
     )

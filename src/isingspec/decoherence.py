@@ -16,7 +16,7 @@ exact-diagonalization echo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,10 +29,14 @@ UNDERFLOW_CLAMP = 1e-300
 # hard cap on enumerable momentum pairs: 4**14 configurations
 MAX_ENUMERABLE_MODES = 14
 
-_T_CHUNK = 1 << 15
-# uniform grids t_j = j dt of at least two blocks take the block-factorized
-# product: j = a B + b, exp(i w t_j) = exp(i w t_aB) exp(i w t_b)
-_BLOCK = 512
+# samples per block-product chunk, mode-samples per mode_factor broadcast
+_CHUNK = 1 << 15
+# 1-D grids of _BLOCK_MIN or more samples whose split t_aB + (t_b - t_0),
+# j = a B + b, misses every t_j by a phase under _SPLIT_TOLERANCE take the
+# block-factorized product
+_BLOCK, _BLOCK_MIN, _SPLIT_TOLERANCE = 512, 2048, 1e-9
+# Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
+_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -96,12 +100,12 @@ def decoherence_factor(table: ModeTable, n: int, t):
 
     The per-momentum factors are multiplied in ascending-k order regardless
     of how callers parallelize over time samples, so outputs are bitwise
-    reproducible.  A 1-D t of at least 1024 samples that equals
-    arange(t.size) * t[1] bitwise takes a block-factorized product (exact
-    phase tables, no recurrence) that samples the same times as the
-    per-mode loop and agrees with it to rounding; any other t takes the
-    loop.  Magnitudes that underflow below 1e-300 are flushed to exactly
-    zero rather than treated as an error.
+    reproducible.  A 1-D t of at least 2048 samples whose split t_aB +
+    (t_b - t_0), j = aB + b, misses every sample by max|delta| max|w| < 1e-9
+    takes a block-factorized product that agrees with mode_factor to
+    rounding; any other t (short, multi-dimensional, scalar or irregular)
+    takes mode_factor itself, broadcast over modes and time chunks.
+    Magnitudes below 1e-300 are flushed to exactly zero.
     """
     if n < 1 or n > table.n_max:
         raise ParameterError(
@@ -110,71 +114,64 @@ def decoherence_factor(table: ModeTable, n: int, t):
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
 
+    coeffs = mode_coefficients(table.alpha[n], table.alpha[n - 1])
     eps_n, eps_p = table.epsilon[n], table.epsilon[n - 1]
-    weights = _channel_sums(mode_coefficients(table.alpha[n], table.alpha[n - 1]))
     tones = (eps_n + eps_p, eps_n - eps_p)
-    if _is_uniform_from_zero(tarr):
-        out = _block_product(weights, tones, tarr)
+    # energies are non-negative, so the sum tone bounds both
+    if _near_uniform(tarr, float(np.max(tones[0]))):
+        out = _block_product(_channel_sums(coeffs), tones, tarr)
     else:
-        out = _loop_product(weights, tones, tarr)
+        out = _mode_product(coeffs, eps_n, eps_p, tarr.reshape(-1))
+    out = out.reshape(tarr.shape)
     out[np.abs(out) < UNDERFLOW_CLAMP] = 0.0
     return out[0] if scalar else out
 
 
-def _is_uniform_from_zero(t: np.ndarray) -> bool:
-    """t is 1-D, spans at least two blocks and equals arange(t.size) * t[1] bitwise."""
-    return (
-        t.ndim == 1
-        and t.size >= 2 * _BLOCK
-        and np.array_equal(t, np.arange(t.size) * t[1])
-    )
+def _near_uniform(t: np.ndarray, omega: float) -> bool:
+    """t is 1-D with >= _BLOCK_MIN samples and a split that misses by < 1e-9 / omega."""
+    if t.ndim != 1 or t.size < _BLOCK_MIN:
+        return False
+    step = _CHUNK // _BLOCK
+    misses = (_split_error(t, a, step) for a in range(0, -(-t.size // _BLOCK), step))
+    return all(np.max(np.abs(d)) * omega < _SPLIT_TOLERANCE for d in misses)
 
 
-def _loop_product(weights, tones, t: np.ndarray) -> np.ndarray:
-    """Per-mode product with four trig calls per mode-sample; any shape of t."""
-    cs, ds, cq, dq = weights
-    eps_sum, eps_dif = tones
-    out = np.empty(t.shape, dtype=complex)
-    for start in range(0, t.size, _T_CHUNK):
-        tc = t[start : start + _T_CHUNK]
-        acc = np.ones(tc.shape, dtype=complex)
-        for j in range(eps_sum.size):  # ascending k
-            s = eps_sum[j] * tc
-            q = eps_dif[j] * tc
-            acc *= (
-                cs[j] * np.cos(s)
-                + 1j * (ds[j] * np.sin(s))
-                + cq[j] * np.cos(q)
-                + 1j * (dq[j] * np.sin(q))
-            )
-        out[start : start + _T_CHUNK] = acc
+def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.ndarray:
+    """mode_factor on (modes x time chunk), _CHUNK mode-samples a call; ascending k."""
+    out = np.ones(t.shape, dtype=complex)
+    width = max(1, min(t.size, _CHUNK))
+    group = _CHUNK // width
+    fields = astuple(coeffs)
+    for k in range(0, eps_n.size, group):
+        m = slice(k, k + group)
+        part = ModeCoefficients(*(c[m, None] for c in fields))
+        for start in range(0, t.size, width):
+            acc = out[start : start + width]
+            tc = t[start : start + width]
+            for factor in mode_factor(part, eps_n[m, None], eps_p[m, None], tc):
+                acc *= factor  # ascending k
     return out
 
 
 def _block_product(weights, tones, t: np.ndarray) -> np.ndarray:
-    """Per-mode product on a uniform grid t_j = j dt, block by block.
+    """Per-mode product on a near-uniform 1-D grid, block by block.
 
-    Sample j = a B + b sits at row a, column b, and exp(i w t_j) is the
-    product of a row table exp(i w t_aB) and a column table exp(i w t_b),
-    built per mode for both tones with np.exp (no recurrence).  Their outer
-    products z1, z2 give the factor (cs Re z1 + cq Re z2) + i (ds Im z1 +
-    dq Im z2), formed in preallocated buffers; the real and imaginary
-    weights are applied through the interleaved float view of each buffer.
-
-    Two corrections keep every phase at w t_j to double precision; without
-    them spectrum metrics drift from the loop's in the 13th digit.  The row
-    phases reach w t_max and their rounding would be shared by all B
-    samples of a row, so _phase_table restores it.  And t_aB + t_b can miss
-    t_j by an ulp: the exact miss delta_j is formed once per chunk, and
-    each table product is multiplied by 1 + i w delta_j, which equals
-    exp(i w delta_j) to double precision.
+    Sample j = a B + b sits at row a, column b: per mode and tone, np.exp
+    builds a row table exp(i w t_aB) and a column table exp(i w (t_b - t_0)),
+    and their outer products z1, z2 give the factor (cs Re z1 + cq Re z2) +
+    i (ds Im z1 + dq Im z2), weighted through the interleaved float views.
+    Two corrections keep every phase at w t_j to double precision: the row
+    phases' rounding, shared by a whole row, is put back exactly as the
+    factor 1 + i miss (_product_error), and each product is multiplied by
+    1 + i w delta_j for the split's miss delta_j, which is exp(i w delta_j)
+    to double precision since routing bounds |w delta_j| by 1e-9.
     """
     cs, ds, cq, dq = weights
     eps_sum, eps_dif = tones
     rows = -(-t.size // _BLOCK)
-    # about _T_CHUNK samples per chunk; a short tail joins the last chunk
-    chunk_rows = -(-rows // max(1, rows // (_T_CHUNK // _BLOCK)))
-    fine = t[:_BLOCK]
+    # about _CHUNK samples per chunk; a short tail joins the last chunk
+    chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
+    fine = t[:_BLOCK] - t[0]
     out = np.empty((rows, _BLOCK), dtype=complex)
     z1 = np.empty((chunk_rows, _BLOCK), dtype=complex)
     z2 = np.empty((chunk_rows, _BLOCK), dtype=complex)
@@ -184,30 +181,22 @@ def _block_product(weights, tones, t: np.ndarray) -> np.ndarray:
     w1_flat, w2_flat = w1.reshape(-1), w2.reshape(-1)
     for start in range(0, rows, chunk_rows):
         coarse = t[start * _BLOCK : (start + chunk_rows) * _BLOCK : _BLOCK]
-        coarse_ld = coarse.astype(np.longdouble)
         r = coarse.size
-        delta = _split_error(coarse[:, None], fine, start * _BLOCK, t[1])
+        delta = _split_error(t, start, r)
+        coarse_split = _veltkamp_split(coarse)
         acc = out[start : start + r]
         acc[...] = 1.0
         z1c, z2c, shift_c = z1[:r], z2[:r], shift[:r]
         z1_flat, z2_flat = z1c.view(float), z2c.view(float)
         shift_c.real = 1.0
         for j in range(eps_sum.size):  # ascending k
-            ws, wq = eps_sum[j], eps_dif[j]
-            np.multiply(
-                _phase_table(ws, coarse, coarse_ld)[:, None],
-                np.exp(1j * (ws * fine)),
-                out=z1c,
-            )
-            np.multiply(delta, ws, out=shift_c.imag)
-            z1c *= shift_c
-            np.multiply(
-                _phase_table(wq, coarse, coarse_ld)[:, None],
-                np.exp(1j * (wq * fine)),
-                out=z2c,
-            )
-            np.multiply(delta, wq, out=shift_c.imag)
-            z2c *= shift_c
+            for w, z in ((eps_sum[j], z1c), (eps_dif[j], z2c)):
+                phase = w * coarse
+                miss = _product_error(_veltkamp_split(float(w)), coarse_split, phase)
+                row = np.exp(1j * phase) * (1.0 + 1j * miss)
+                np.multiply(row[:, None], np.exp(1j * (w * fine)), out=z)
+                np.multiply(delta, w, out=shift_c.imag)
+                z *= shift_c
             w1[:, 0], w1[:, 1] = cs[j], ds[j]
             w2[:, 0], w2[:, 1] = cq[j], dq[j]
             z1_flat *= w1_flat
@@ -217,31 +206,40 @@ def _block_product(weights, tones, t: np.ndarray) -> np.ndarray:
     return out.reshape(-1)[: t.size]
 
 
-def _phase_table(w: float, times: np.ndarray, times_ld: np.ndarray) -> np.ndarray:
-    """exp(i w t) with the rounding error of fl(w t) put back.
+def _product_error(a_split, b_split, product):
+    """a b - product exactly, for product = fl(a b): Dekker's TwoProduct.
 
-    The miss w t - fl(w t), up to half an ulp of w t, comes from the
-    extended-precision product (zero where longdouble is double) and is
-    applied as the factor 1 + i miss.
+    Both factors come split by _veltkamp_split, so every partial product is
+    exact and, barring overflow and underflow, so is the result; no FMA is
+    needed (Dekker, Numer. Math. 18, 1971; Ogita, Rump & Oishi, SIAM J.
+    Sci. Comput. 26, 2005).
     """
-    phase = w * times
-    miss = (np.longdouble(w) * times_ld - phase).astype(float)
-    table = np.exp(1j * phase)
-    table *= 1.0 + 1j * miss
-    return table
+    (a_hi, a_lo), (b_hi, b_lo) = a_split, b_split
+    return a_lo * b_lo - (((product - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
 
 
-def _split_error(coarse: np.ndarray, fine: np.ndarray, first: int, dt: float):
-    """delta_j = t_j - (coarse + fine), t_j = j dt from sample `first` on.
+def _veltkamp_split(x):
+    """x = hi + lo exactly, each half carrying at most 26 significant bits."""
+    scaled = _SPLITTER * x
+    hi = scaled - (scaled - x)
+    return hi, x - hi
 
-    The rounded sum s and its two-sum error are exact floats, and t_j - s
-    is exact because t_j and s agree to within an ulp, so delta_j carries
-    one final rounding only.
+
+def _split_error(t: np.ndarray, start: int, rows: int) -> np.ndarray:
+    """delta_j = t_j - (t_aB + (t_b - t_0)) for rows start .. start + rows - 1.
+
+    The rounded sum s and its two-sum error are exact, and t_j - s is exact
+    wherever t_j and s agree to within a factor of two, so delta_j carries
+    one rounding.  Past the last sample t_j reads s (padding only).
     """
+    fine = t[:_BLOCK] - t[0]
+    coarse = t[start * _BLOCK : (start + rows) * _BLOCK : _BLOCK, None]
     s = coarse + fine
     fine_part = s - coarse
     sum_error = (coarse - (s - fine_part)) + (fine - fine_part)
-    t_j = (np.arange(first, first + s.size) * dt).reshape(s.shape)
+    samples = t[start * _BLOCK : (start + rows) * _BLOCK]
+    t_j = s.copy()
+    t_j.reshape(-1)[: samples.size] = samples
     return (t_j - s) - sum_error
 
 

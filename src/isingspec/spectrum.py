@@ -303,7 +303,9 @@ def spectrum_analytic(
 def broadening_metrics(spec: Spectrum) -> BroadeningMetrics:
     """w90, entropy and normalized participation of the |S| distribution."""
     magnitude = np.abs(spec.values)
-    if magnitude.size == 0 or float(magnitude.max()) <= _NOISE_FLOOR:
+    if magnitude.size < 2 or not spec.frequencies[1] > spec.frequencies[0]:
+        raise DegenerateInputError("spectrum needs two or more ascending frequencies")
+    if float(magnitude.max()) <= _NOISE_FLOOR:
         raise DegenerateInputError("spectrum has no mass above the noise floor")
     p = magnitude / magnitude.sum()
     d_omega = float(spec.frequencies[1] - spec.frequencies[0])
@@ -414,7 +416,8 @@ def threshold_crossing_time(
     def ratio(ts: np.ndarray) -> np.ndarray:
         return np.abs(weighted_echo(table, state, ts)) * np.exp(-gamma * ts) / s0
 
-    # each segment on its own, so the uniform head can take the block echo path
+    # each segment on its own: both are near-uniform, so the head and a tail
+    # of 2048 samples or more (horizon past ~225) take the block echo path
     split = min(20.0, horizon)
     segments = [np.arange(0.0, split, 0.005), np.arange(split, horizon, 0.1)]
     ts = np.concatenate(segments)

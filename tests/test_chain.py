@@ -8,6 +8,7 @@ from isingspec import (
     ChainParams,
     ParameterError,
     bogoliubov_angle,
+    branch_lambda,
     build_mode_table,
     dispersion,
     momentum_grid,
@@ -116,13 +117,16 @@ class TestModeTable:
         assert table.epsilon[0, 0] == pytest.approx(
             2 * math.sqrt(1 + 0.9**2), rel=1e-14
         )
-        assert table.theta[0, 0] == pytest.approx(0.83798122500839, rel=1e-14)
+        theta = bogoliubov_angle(table.momenta[0], branch_lambda(p, 0))
+        assert theta == pytest.approx(0.83798122500839, rel=1e-14)
         assert table.alpha[0, 0] == pytest.approx(0.026291530805470864, rel=1e-12)
 
     def test_far_field_angles_vanish(self):
         p = ChainParams(n_sites=16, lam=1e6, g_over_b=0.1, gamma_over_b=0.0)
         table = build_mode_table(p, n_max=2)
-        assert np.max(np.abs(table.theta)) < 1e-5
+        k = table.momenta
+        thetas = [bogoliubov_angle(k, branch_lambda(p, n)) for n in range(3)]
+        assert np.max(np.abs(thetas)) < 1e-5
         assert np.max(np.abs(table.alpha)) < 1e-5
 
     def test_branch_rows_match_scalar_functions(self):
@@ -132,7 +136,9 @@ class TestModeTable:
         for n in range(5):
             lam_n = 0.7 - (2 * n + 1) * 0.04
             np.testing.assert_allclose(table.epsilon[n], dispersion(k, lam_n))
-            np.testing.assert_allclose(table.theta[n], bogoliubov_angle(k, lam_n))
+            np.testing.assert_allclose(
+                bogoliubov_angle(k, branch_lambda(p, n)), bogoliubov_angle(k, lam_n)
+            )
             np.testing.assert_allclose(
                 table.alpha[n], 0.5 * (bogoliubov_angle(k, lam_n) - table.theta_base)
             )

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from isingspec import (
     oracle_decoherence,
     oracle_mode_factor,
 )
+from isingspec.decoherence import _product_error, _veltkamp_split
 
 
 # half-grid spacing of the auto grid at Gamma/B = 0.0039 (t_max = 8/Gamma)
@@ -195,24 +197,34 @@ class TestDecoherenceFactor:
 
 
 class TestBlockFactorizedPath:
-    """1-D grids t_j = j dt of at least 1024 samples take the block product."""
+    """Near-uniform 1-D grids of at least 2048 samples take the block product."""
 
     @pytest.mark.parametrize("lam", [0.25, 1.0, 100.0])
     @pytest.mark.parametrize("n_sites", [2, 16, 1000])
     def test_error_against_extended_precision(self, n_sites, lam):
         table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=0.08125), n_max=1)
-        # two whole blocks, a one-sample tail, and the 2^16 grid's half-grid
-        for length in (1024, 1025, 32769):
-            t = np.arange(length) * UNIFORM_DT
+        # four whole blocks, a one-sample tail, the 2^16 grid's half-grid,
+        # and two grids that do not start at t = 0 (the threshold-scan tail);
+        # each with its nominal start and step
+        grids = [
+            (np.arange(n) * UNIFORM_DT, 0.0, UNIFORM_DT) for n in (2048, 2049, 32769)
+        ]
+        grids += [
+            (np.linspace(0.1, 300.0, 4096), 0.1, (300.0 - 0.1) / 4095),
+            (np.arange(20.0, 708.5, 0.1), 20.0, 0.1),
+        ]
+        for t, start, step in grids:
+            length = t.size
             block = decoherence_factor(table, 1, t)
-            # every 13th sample (coprime to the block size of 512) and the last;
-            # a grid that does not start at t = 0 takes the per-mode loop
+            # every 13th sample (coprime to the block size of 512) and the
+            # last, whose short final step keeps even 2522 samples off the
+            # block path
             idx = np.r_[np.arange(3, length, 13), length - 1]
             loop = decoherence_factor(table, 1, t[idx])
-            assert np.any(block[idx] != loop)  # the uniform grid took the block path
-            # against the nominal times j dt, and against the float t_j the
-            # block path corrects its split t_aB + t_b onto
-            nominal = idx.astype(np.longdouble) * UNIFORM_DT
+            assert np.any(block[idx] != loop)  # the grid took the block path
+            # against the nominal times start + j step, and against the float
+            # t_j the block path corrects its split t_aB + (t_b - t_0) onto
+            nominal = np.longdouble(start) + idx.astype(np.longdouble) * step
             for times in (nominal, t[idx].astype(np.longdouble)):
                 exact = longdouble_echo(table, 1, times)
                 block_error = float(np.max(np.abs(block[idx] - exact)))
@@ -224,17 +236,34 @@ class TestBlockFactorizedPath:
     @pytest.mark.parametrize(
         "t",
         [
-            np.linspace(0.1, 300.0, 4096),  # uniform, but not from t = 0
-            np.arange(1023) * UNIFORM_DT,  # one sample short of two blocks
+            np.arange(1023) * UNIFORM_DT,
+            np.arange(2047) * UNIFORM_DT,  # one sample short of the block floor
             (np.arange(2048) * UNIFORM_DT).reshape(2, 1024),  # not 1-D
+            np.array([3.7]),
+            # uniform to within a quarter step: the split misses by far more
+            # than 1e-9 of a phase
+            (np.arange(4096) + np.random.default_rng(3).uniform(-0.25, 0.25, 4096))
+            * UNIFORM_DT,
         ],
-        ids=["linspace", "short", "2d"],
+        ids=["short", "2047", "2d", "single", "jittered"],
     )
     def test_other_grids_keep_the_loop_bitwise(self, t):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
         np.testing.assert_array_equal(
             decoherence_factor(table, 1, t), loop_reference(table, 1, t)
         )
+
+    def test_row_phase_miss_is_exact(self):
+        # w t - fl(w t) for tone frequencies and times of the N = 1000 auto
+        # grids (phases up to ~4.7e5), against exact rational arithmetic; an
+        # extended-precision (80-bit) product misses these in the last bits
+        rng = np.random.default_rng(29)
+        w = rng.uniform(0.0, 230.0, 2000)
+        t = rng.uniform(0.0, 2051.0, 2000)
+        phase = w * t
+        miss = _product_error(_veltkamp_split(w), _veltkamp_split(t), phase)
+        for wi, ti, pi, mi in zip(w, t, phase, miss):
+            assert Fraction(mi) == Fraction(wi) * Fraction(ti) - Fraction(pi)
 
 
 class TestEnumerateLines:

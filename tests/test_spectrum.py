@@ -243,6 +243,17 @@ class TestBroadeningMetrics:
         with pytest.raises(DegenerateInputError):
             broadening_metrics(Spectrum(frequencies=grid, values=np.zeros(64)))
 
+    @pytest.mark.parametrize(
+        "frequencies", [[0.5], [0.5, 0.4, 0.3]], ids=["one_sample", "descending"]
+    )
+    def test_rejects_degenerate_frequency_grid(self, frequencies):
+        # one sample has no spacing; a descending grid would give a negative w90
+        p = params_for()
+        table = build_mode_table(p, n_max=1)
+        spec = spectrum_analytic(p, table, fock_superposition([1, 1]), frequencies)
+        with pytest.raises(DegenerateInputError):
+            broadening_metrics(spec)
+
     def test_doubling_chain_far_from_critical_keeps_w90(self):
         state = fock_superposition([1, 1])
         results = {}
