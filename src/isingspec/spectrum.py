@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .chain import ModeTable
 from .decoherence import decoherence_factor, enumerate_lines, mode_coefficients
@@ -33,6 +32,8 @@ _MIN_SAMPLES_LOG2 = 10
 _MAX_SAMPLES_LOG2 = 22
 # below this |S| peak a spectrum counts as empty
 _NOISE_FLOOR = 1e-12
+# largest spacing deviation, relative to the first spacing, of a uniform grid
+_SPACING_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -301,14 +302,21 @@ def spectrum_analytic(
 
 
 def broadening_metrics(spec: Spectrum) -> BroadeningMetrics:
-    """w90, entropy and normalized participation of the |S| distribution."""
+    """w90, entropy and normalized participation of the |S| distribution.
+
+    The frequencies must be uniform and ascending: w90 counts samples and
+    scales the count by the one spacing.
+    """
     magnitude = np.abs(spec.values)
-    if magnitude.size < 2 or not spec.frequencies[1] > spec.frequencies[0]:
+    frequencies = spec.frequencies
+    if magnitude.size < 2 or not frequencies[1] > frequencies[0]:
         raise DegenerateInputError("spectrum needs two or more ascending frequencies")
+    d_omega = float(frequencies[1] - frequencies[0])
+    if np.any(np.abs(np.diff(frequencies) - d_omega) > _SPACING_REL_TOL * d_omega):
+        raise DegenerateInputError("spectrum frequencies are not uniformly spaced")
     if float(magnitude.max()) <= _NOISE_FLOOR:
         raise DegenerateInputError("spectrum has no mass above the noise floor")
     p = magnitude / magnitude.sum()
-    d_omega = float(spec.frequencies[1] - spec.frequencies[0])
 
     cum = np.concatenate([[0.0], np.cumsum(p)])
     right = np.arange(1, p.size + 1)
@@ -346,6 +354,10 @@ def _l2_norm(x: np.ndarray) -> float:
 
 def fitted_peak(spec: Spectrum, gamma: float, total_weight: float) -> tuple[float, float]:
     """Best-fit center of total_weight * L(omega - s) and its relative L2 error."""
+    # scipy.optimize takes most of the package's import time and only this
+    # fit uses it, so it loads on the first call
+    from scipy.optimize import minimize_scalar
+
     values = spec.values
     frequencies = spec.frequencies
     start = float(frequencies[int(np.argmax(np.abs(values)))])

@@ -244,10 +244,13 @@ class TestBroadeningMetrics:
             broadening_metrics(Spectrum(frequencies=grid, values=np.zeros(64)))
 
     @pytest.mark.parametrize(
-        "frequencies", [[0.5], [0.5, 0.4, 0.3]], ids=["one_sample", "descending"]
+        "frequencies",
+        [[0.5], [0.5, 0.4, 0.3], [-1.0, -0.9, 3.0, 8.0]],
+        ids=["one_sample", "descending", "nonuniform"],
     )
     def test_rejects_degenerate_frequency_grid(self, frequencies):
-        # one sample has no spacing; a descending grid would give a negative w90
+        # one sample has no spacing; a descending grid would give a negative w90;
+        # on the non-uniform grid the first spacing would make a 9-wide window 0.3
         p = params_for()
         table = build_mode_table(p, n_max=1)
         spec = spectrum_analytic(p, table, fock_superposition([1, 1]), frequencies)
