@@ -58,13 +58,12 @@ class ModeTable:
 
     epsilon[n, j] is the quasiparticle energy of branch n at momentum
     momenta[j]; alpha[n, j] is half the mismatch of its Bogoliubov angle
-    against the uncoupled chain's (theta_base), whose ground state
-    everything is referenced to.
+    against the uncoupled chain's (the angle at the bare lambda), whose
+    ground state everything is referenced to.
     """
 
     params: ChainParams
     momenta: np.ndarray  # (N/2,)
-    theta_base: np.ndarray  # (N/2,) angle at the bare lambda
     epsilon: np.ndarray  # (n_max+1, N/2)
     alpha: np.ndarray  # (n_max+1, N/2)
 
@@ -82,12 +81,6 @@ def build_mode_table(params: ChainParams, n_max: int) -> ModeTable:
     lams = np.array([branch_lambda(params, n) for n in range(n_max + 1)])
     epsilon = dispersion(k[None, :], lams[:, None])
     alpha = 0.5 * (bogoliubov_angle(k[None, :], lams[:, None]) - theta_base[None, :])
-    for arr in (k, theta_base, epsilon, alpha):
+    for arr in (k, epsilon, alpha):
         arr.setflags(write=False)
-    return ModeTable(
-        params=params,
-        momenta=k,
-        theta_base=theta_base,
-        epsilon=epsilon,
-        alpha=alpha,
-    )
+    return ModeTable(params=params, momenta=k, epsilon=epsilon, alpha=alpha)

@@ -36,7 +36,6 @@ from .params import ChainParams, PhysicalParams, derive_chain_params
 from .probe import ProbeState, coherent_state, fock_superposition
 from .spectrum import (
     TimeGrid,
-    _check_grid_band,
     _populated_branches,
     auto_time_grid,
     broadening_metrics,
@@ -207,6 +206,8 @@ def _out_dir(cfg: dict, out_flag: str | None) -> Path:
     target = out_flag or cfg.get("output")
     if target is None:
         raise ConfigError("config.output: missing (or pass --out)")
+    if not isinstance(target, str):
+        raise ConfigError(f"config.output: expected a directory path string, got {target!r}")
     path = Path(target)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -296,38 +297,33 @@ def _check_lambda_tags(sweep: list[float]) -> None:
 def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish, tagged: bool = False):
     """Output directory, and finish(out, params, grid, series) per lambda in sweep order.
 
-    Chain, probe, sweep and an explicit time grid are parsed once, and the
-    mode tables built, before the pool starts; an explicit grid whose
-    Nyquist frequency falls below the band estimate of any lambda is a
-    config error, and so are two lambda values with one _lambda_tag when
-    tagged (each lambda writes files named by its tag).  Each worker then
-    resolves the grid (auto unless given), computes the correlation series
-    of its lambda and hands it to finish, which writes what it needs and
-    returns what the caller keeps, so a series is dropped as soon as its
-    own lambda is done.
+    Chain, probe and sweep are parsed once, and per lambda the mode table
+    built and the time grid resolved by auto_time_grid (the config's
+    explicit grid, checked against the band estimate, or the auto grid),
+    before the output directory is made or the pool starts: a grid error
+    at any lambda writes nothing, and neither do two lambda values with
+    one _lambda_tag when tagged (each lambda writes files named by its
+    tag).  Each worker then computes the correlation series of its lambda
+    and hands it to finish, which writes what it needs and returns what the
+    caller keeps, so a series is dropped as soon as its own lambda is done.
     """
     chain = parse_chain(cfg)
     state = parse_probe(cfg)
     sweep = parse_sweep(cfg, chain)
     if tagged:
         _check_lambda_tags(sweep)
-    grid = parse_time_grid(cfg)
+    explicit = parse_time_grid(cfg)
     runs = []
     for lam in sweep:
         params = dataclasses.replace(chain, lam=lam)
         table = build_mode_table(params, n_max=max(state.n_max, 1))
-        if grid is not None:
-            _check_grid_band(params, table, state, grid)
-        runs.append((params, table))
+        runs.append((params, table, auto_time_grid(params, table, state, explicit)))
     out = _out_dir(cfg, out_flag)
 
     def job(run):
-        params, table = run
-        resolved = grid if grid is not None else auto_time_grid(params, table, state)
-        series = correlation_series(
-            params, table, state, resolved.t_max, resolved.n_samples
-        )
-        return finish(out, params, resolved, series)
+        params, table, grid = run
+        series = correlation_series(params, table, state, grid.t_max, grid.n_samples)
+        return finish(out, params, grid, series)
 
     with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
         return out, list(pool.map(job, runs))

@@ -95,6 +95,16 @@ def mode_factor(coeffs: ModeCoefficients, eps_n, eps_prev, t):
     )
 
 
+def _branch_pair(table: ModeTable, n: int):
+    """Channel weights and energies (eps_n, eps_{n-1}) of the branch pair (n, n-1)."""
+    if n < 1 or n > table.n_max:
+        raise ParameterError(
+            f"branch pair ({n}, {n - 1}) not covered by table with n_max={table.n_max}"
+        )
+    coeffs = mode_coefficients(table.alpha[n], table.alpha[n - 1])
+    return coeffs, table.epsilon[n], table.epsilon[n - 1]
+
+
 def decoherence_factor(table: ModeTable, n: int, t):
     """Echo between branches n and n-1 at time(s) t, product over momenta.
 
@@ -107,15 +117,9 @@ def decoherence_factor(table: ModeTable, n: int, t):
     takes mode_factor itself, broadcast over modes and time chunks.
     Magnitudes below 1e-300 are flushed to exactly zero.
     """
-    if n < 1 or n > table.n_max:
-        raise ParameterError(
-            f"branch pair ({n}, {n - 1}) not covered by table with n_max={table.n_max}"
-        )
+    coeffs, eps_n, eps_p = _branch_pair(table, n)
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
-
-    coeffs = mode_coefficients(table.alpha[n], table.alpha[n - 1])
-    eps_n, eps_p = table.epsilon[n], table.epsilon[n - 1]
     tones = (eps_n + eps_p, eps_n - eps_p)
     # energies are non-negative, so the sum tone bounds both
     if _near_uniform(tarr, float(np.max(tones[0]))):
@@ -269,10 +273,7 @@ def enumerate_lines(
     the pruned mass is reported.  Beyond 14 momentum pairs the enumeration
     refuses and the FFT path should be used instead.
     """
-    if n < 1 or n > table.n_max:
-        raise ParameterError(
-            f"branch pair ({n}, {n - 1}) not covered by table with n_max={table.n_max}"
-        )
+    coeffs, eps_n, eps_p = _branch_pair(table, n)
     n_modes = table.momenta.size
     if n_modes > MAX_ENUMERABLE_MODES:
         raise CapacityError(
@@ -281,8 +282,6 @@ def enumerate_lines(
             "spectrum path instead"
         )
 
-    coeffs = mode_coefficients(table.alpha[n], table.alpha[n - 1])
-    eps_n, eps_p = table.epsilon[n], table.epsilon[n - 1]
     # channel order (+,+), (+,-), (-,+), (-,-)
     channel_weights = np.stack([coeffs.pp, coeffs.pm, coeffs.mp, coeffs.mm], axis=1)
     channel_centers = np.stack(

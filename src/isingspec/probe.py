@@ -7,11 +7,13 @@ how much coherent-state tail was dropped.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import CapacityError, DegenerateInputError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -49,20 +51,39 @@ def coherent_state(alpha: complex, tail_tol: float = 1e-12) -> ProbeState:
     Amplitudes follow the recurrence c_{n+1} = c_n alpha / sqrt(n+1); no
     explicit factorials.  The cut keeps every n with
     sum_{m>n} m |c_m|^2 >= tail_tol, and the dropped probability is recorded.
+    The recurrence starts from c_0 = exp(-|alpha|^2 / 2), which must be a
+    normal double: |alpha|^2 above about 1416 raises CapacityError.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     alpha = complex(alpha)
-    mean = abs(alpha) ** 2
+    try:
+        mean = abs(alpha) ** 2
+    except OverflowError:  # |alpha| past ~1e154; refused as subnormal below
+        mean = math.inf
     if mean == 0.0:
         return ProbeState(amplitudes=np.array([1.0 + 0.0j]), truncation_error=0.0)
 
     amps = [np.exp(-0.5 * mean)]
+    if amps[0] < sys.float_info.min:
+        raise CapacityError(
+            f"coherent state with |alpha|^2 = {mean:.6g}: the vacuum amplitude "
+            "exp(-|alpha|^2 / 2) is below the smallest normal double, so the "
+            "photon weights would lose precision; keep |alpha|^2 below about 1416"
+        )
     cdf = abs(amps[0]) ** 2
     n = 0
-    # weighted tail over m > n equals mean * (1 - Poisson CDF at n-1)
+    # weighted tail over m > n equals mean * (1 - Poisson CDF at n-1), but
+    # that difference has a rounding floor near mean * 1e-16, which can sit
+    # above tail_tol.  Past the mean the tail's terms shrink by mean / m, so
+    # it is at most its first term over 1 - mean / (n+1); that bound has no
+    # floor and ends the loop where the difference cannot
     while mean * (1.0 - (cdf - abs(amps[-1]) ** 2)) >= tail_tol:
-        amps.append(amps[-1] * alpha / np.sqrt(n + 1.0))
+        following = amps[-1] * alpha / np.sqrt(n + 1.0)
+        ratio = mean / (n + 1.0)
+        if ratio < 1.0 and (n + 1.0) * abs(following) ** 2 < tail_tol * (1.0 - ratio):
+            break
+        amps.append(following)
         n += 1
         cdf += abs(amps[-1]) ** 2
     arr = np.asarray(amps, dtype=complex)

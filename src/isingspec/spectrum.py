@@ -117,16 +117,31 @@ def weighted_echo(table: ModeTable, state: ProbeState, t):
 
 
 def auto_time_grid(
-    params: ChainParams, table: ModeTable, state: ProbeState
+    params: ChainParams, table: ModeTable, state: ProbeState, grid: TimeGrid | None = None
 ) -> TimeGrid:
-    """Pick t_max and a power-of-two sample count for the FFT path.
+    """Check an explicit grid at params.lam, or pick one for the FFT path.
 
-    t_max = 8 / (Gamma/B) resolves the Lorentzian width.  The Nyquist
-    frequency must clear the band estimate of every populated branch,
-    padded by a factor of two.  The padded estimate is echoed in the grid
-    so output headers can record it.  A grid that would need more than
-    2^22 samples raises CapacityError.
+    A given grid is returned unchanged; ConfigError when its Nyquist
+    frequency pi/dt is below the band estimate (unpadded: the auto rule's
+    factor-two pad is headroom, not a requirement).  Otherwise t_max =
+    8 / (Gamma/B) resolves the Lorentzian width, and the Nyquist frequency
+    must clear the band estimate of every populated branch, padded by a
+    factor of two.  The padded estimate is echoed in the grid so output
+    headers can record it.  A grid that would need more than 2^22 samples
+    raises CapacityError.
     """
+    if grid is not None:
+        nyquist = math.pi * grid.n_samples / (2.0 * grid.t_max)
+        band = _band_estimate(table, state)
+        if nyquist < band:
+            # 2 ** rather than 1 <<: the exponent is inf where the count overflows
+            auto_samples = 2 ** _samples_log2(grid.t_max, _BAND_PAD * band)
+            raise ConfigError(
+                f"config.time_grid: at lambda={params.lam:g} the Nyquist frequency "
+                f"{nyquist:.4g} is below the band estimate {band:.4g}; the auto rule "
+                f"would pick n_samples={auto_samples} for t_max={grid.t_max:g}"
+            )
+        return grid
     if params.gamma_over_b <= 0.0:
         raise ConfigError(
             "auto time grid needs gamma_over_b > 0; give an explicit grid instead"
@@ -175,32 +190,15 @@ def _band_estimate(table: ModeTable, state: ProbeState) -> float:
     return omega_max
 
 
-def _samples_log2(t_max: float, omega: float) -> int:
-    """log2 of the auto sample count: at least 2^10, Nyquist over t_max clears omega."""
-    exponent = _MIN_SAMPLES_LOG2
-    if omega > 0.0:
-        needed = 2.0 * t_max * omega / np.pi
-        exponent = max(exponent, math.ceil(math.log2(max(needed, 2.0))))
-    return exponent
+def _samples_log2(t_max: float, omega: float) -> float:
+    """log2 of the auto sample count: at least 2^10, Nyquist over t_max clears omega.
 
-
-def _check_grid_band(
-    params: ChainParams, table: ModeTable, state: ProbeState, grid: TimeGrid
-) -> None:
-    """Raise ConfigError when an explicit grid's Nyquist pi/dt is below the band estimate.
-
-    The unpadded estimate is the bound: the auto rule's factor-two pad is
-    headroom, not a requirement.
+    inf when the count overflows a double (a huge t_max, or t_max = inf).
     """
-    nyquist = math.pi * grid.n_samples / (2.0 * grid.t_max)
-    band = _band_estimate(table, state)
-    if nyquist < band:
-        auto_samples = 1 << _samples_log2(grid.t_max, _BAND_PAD * band)
-        raise ConfigError(
-            f"config.time_grid: at lambda={params.lam:g} the Nyquist frequency "
-            f"{nyquist:.4g} is below the band estimate {band:.4g}; the auto rule "
-            f"would pick n_samples={auto_samples} for t_max={grid.t_max:g}"
-        )
+    needed = 2.0 * t_max * omega / np.pi
+    if not needed < math.inf:
+        return math.inf
+    return max(_MIN_SAMPLES_LOG2, math.ceil(math.log2(max(needed, 2.0))))
 
 
 def correlation_series(

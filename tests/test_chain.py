@@ -140,7 +140,7 @@ class TestModeTable:
                 bogoliubov_angle(k, branch_lambda(p, n)), bogoliubov_angle(k, lam_n)
             )
             np.testing.assert_allclose(
-                table.alpha[n], 0.5 * (bogoliubov_angle(k, lam_n) - table.theta_base)
+                table.alpha[n], 0.5 * (bogoliubov_angle(k, lam_n) - bogoliubov_angle(k, p.lam))
             )
 
     def test_energies_nonnegative_even_for_negative_branch_lambda(self):

@@ -465,6 +465,35 @@ class TestConfigValidation:
             assert part in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "gamma, time_grid, sweep, threads, code, message",
+        [
+            # lambda=100 clears the cap, lambda=5 needs 2^23 samples
+            (5e-5, "auto", [100.0, 5.0], "1", 3, "2^23 samples"),
+            (5e-5, "auto", [100.0, 5.0], "2", 3, "2^23 samples"),
+            (0.0, "auto", [0.5, 2.0], "2", 2, "gamma_over_b > 0"),
+            # t_max = 8 / gamma overflows to inf
+            (1e-310, "auto", [2.0], "1", 3, "2^inf samples"),
+            # 2 t_max overflows: the auto rule's count is inf
+            (0.02, {"t_max": 1e308, "n_samples": 4096}, [2.0], "1", 2, "n_samples=inf"),
+        ],
+    )
+    def test_grid_error_at_any_lambda_writes_nothing(
+        self, runner, tmp_path, gamma, time_grid, sweep, threads, code, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(
+            cfg_path,
+            chain={"n_sites": 16, "lambda": 1.0, "g_over_b": 0.08125, "gamma_over_b": gamma},
+            time_grid=time_grid,
+            sweep=sweep,
+        )
+        args = ["spectrum", "--config", str(cfg_path), "--threads", threads]
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_explicit_grid_checked_against_unpadded_band(self, runner, tmp_path):
         # Nyquist 50.19 clears the unpadded estimate 25.36 but not the auto
         # rule's padded 50.71: the grid is accepted
@@ -489,6 +518,23 @@ class TestConfigValidation:
         assert "1.0000001" in result.output and "1.0000002" in result.output
         assert not (tmp_path / "out").exists()
         assert runner.invoke(main, ["sweep", "--config", str(cfg_path)]).exit_code == 0
+
+    @pytest.mark.parametrize("output", [5, ["a"]])
+    def test_non_string_output_is_config_error(self, runner, tmp_path, output):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, output=output)
+        result = runner.invoke(main, ["dispersion", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "config.output" in result.output
+
+    def test_oversized_coherent_alpha_is_capacity_error(self, runner, tmp_path):
+        # exp(-|alpha|^2 / 2) is subnormal at |alpha|^2 = 1489
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, probe={"type": "coherent", "alpha": 38.59})
+        result = runner.invoke(main, ["spectrum", "--config", str(cfg_path)])
+        assert result.exit_code == 3, result.output
+        assert "smallest normal double" in result.output
+        assert "tail_tol" not in result.output
 
     def test_duplicate_sweep_values(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import isingspec
 from isingspec import (
+    CapacityError,
     DegenerateInputError,
     ParameterError,
     coherent_state,
@@ -84,6 +91,42 @@ class TestCoherentState:
             coherent_state(1.0, tail_tol=0.0)
         with pytest.raises(ParameterError):
             coherent_state(1.0, tail_tol=1.5)
+
+
+MEANS_OF_COHERENT_STATES = """
+import json, sys
+
+import isingspec as iq
+
+alphas = json.loads(sys.argv[1])
+print(json.dumps([iq.mean_photon_number(iq.coherent_state(a)) for a in alphas]))
+"""
+
+
+class TestCoherentStateLimits:
+    def test_large_alpha_returns(self):
+        # the 1 - cdf tail test alone never ends for these at the default
+        # tail_tol: its rounding floor, near |alpha|^2 * 1e-16, sits above
+        # 1e-12 once the amplitudes stop moving the cdf.  A fresh interpreter
+        # with a timeout turns a hang into a failure.
+        alphas = [11.6, 12.4, 32.0, 37.6]
+        env = dict(os.environ)
+        src = str(Path(isingspec.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", MEANS_OF_COHERENT_STATES, json.dumps(alphas)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        means = json.loads(proc.stdout)
+        assert means == pytest.approx([a * a for a in alphas], rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [38.59, 1e200])
+    def test_subnormal_vacuum_amplitude_is_capacity_error(self, alpha):
+        # exp(-|alpha|^2 / 2) is below the smallest normal double past
+        # |alpha|^2 ~ 1416.8; at 1e200 the square itself overflows
+        with pytest.raises(CapacityError, match="smallest normal double"):
+            coherent_state(alpha)
 
 
 class TestMeanPhotonNumber:
