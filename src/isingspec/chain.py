@@ -62,7 +62,6 @@ class ModeTable:
     ground state everything is referenced to.
     """
 
-    params: ChainParams
     momenta: np.ndarray  # (N/2,)
     epsilon: np.ndarray  # (n_max+1, N/2)
     alpha: np.ndarray  # (n_max+1, N/2)
@@ -83,4 +82,4 @@ def build_mode_table(params: ChainParams, n_max: int) -> ModeTable:
     alpha = 0.5 * (bogoliubov_angle(k[None, :], lams[:, None]) - theta_base[None, :])
     for arr in (k, epsilon, alpha):
         arr.setflags(write=False)
-    return ModeTable(params=params, momenta=k, epsilon=epsilon, alpha=alpha)
+    return ModeTable(momenta=k, epsilon=epsilon, alpha=alpha)

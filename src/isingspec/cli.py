@@ -98,85 +98,99 @@ def _integer(value, path: str) -> int:
 
 def _list_of(parse):
     def parse_list(value, path: str) -> list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
         return [parse(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
     return parse_list
 
 
 def _complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    """A number, or an [re, im] pair of numbers."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    return complex(_number(value, path))
 
 
-# config.chain key, ChainParams field, parser
+def _build(make, section, path: str, keys):
+    """make(**fields) from the config object section at path.
+
+    keys holds one (config key, make keyword, parser, required) row per key
+    the section may carry; any other key, and a missing required one, is a
+    ConfigError naming its path.  ParameterError, ConfigError and
+    DegenerateInputError from make are relabelled with path; CapacityError
+    passes through, so it keeps its exit code.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
+    known = {key for key, *_ in keys}
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    fields = {}
+    for key, keyword, parse, required in keys:
+        if key in section:
+            fields[keyword] = parse(section[key], f"{path}.{key}")
+        elif required:
+            raise ConfigError(f"{path}.{key}: missing required field")
+    try:
+        return make(**fields)
+    except (ParameterError, ConfigError, DegenerateInputError) as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
+# config key, keyword, parser, required: one table per config section
 _CHAIN_KEYS = (
-    ("n_sites", "n_sites", _integer),
-    ("lambda", "lam", _number),
-    ("g_over_b", "g_over_b", _number),
-    ("gamma_over_b", "gamma_over_b", _number),
+    ("n_sites", "n_sites", _integer, True),
+    ("lambda", "lam", _number, True),
+    ("g_over_b", "g_over_b", _number, True),
+    ("gamma_over_b", "gamma_over_b", _number, True),
+)
+# per probe type: constructor and the keys besides "type"
+_PROBE_TYPES = {
+    "fock": (fock_superposition, (("coefficients", "coeffs", _list_of(_complex), True),)),
+    "coherent": (
+        coherent_state,
+        (("alpha", "alpha", _complex, True), ("tail_tol", "tail_tol", _number, False)),
+    ),
+}
+_TIME_GRID_KEYS = (
+    ("t_max", "t_max", _number, True),
+    ("n_samples", "n_samples", _integer, True),
+)
+_ORACLE_KEYS = (
+    ("n_sites_list", "n_sites_list", _list_of(_integer), False),
+    ("lambdas", "lams", _list_of(_number), False),
+    ("g_over_bs", "g_over_bs", _list_of(_number), False),
+    ("tolerance", "tolerance", _number, False),
+)
+_PHYSICAL_KEYS = tuple(
+    (field.name, field.name, _number, field.default is dataclasses.MISSING)
+    for field in dataclasses.fields(PhysicalParams)
 )
 
 
-def _section(cfg: dict, key: str) -> dict:
-    section = _require(cfg, key, "config")
-    if not isinstance(section, dict):
-        raise ConfigError(f"config.{key}: expected an object")
-    return section
-
-
 def parse_chain(cfg: dict) -> ChainParams:
-    section = _section(cfg, "chain")
-    fields = {
-        field: parse(_require(section, key, "config.chain"), f"config.chain.{key}")
-        for key, field, parse in _CHAIN_KEYS
-    }
-    try:
-        return ChainParams(**fields)
-    except ParameterError as exc:
-        raise ConfigError(f"config.chain: {exc}")
+    return _build(ChainParams, _require(cfg, "chain", "config"), "config.chain", _CHAIN_KEYS)
 
 
 def parse_probe(cfg: dict) -> ProbeState:
-    section = _section(cfg, "probe")
-    kind = _require(section, "type", "config.probe")
-    if kind == "fock":
-        coeffs = _require(section, "coefficients", "config.probe")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError("config.probe.coefficients: expected a non-empty list")
-        values = [
-            _complex(c, f"config.probe.coefficients[{i}]") for i, c in enumerate(coeffs)
-        ]
-        try:
-            return fock_superposition(values)
-        except DegenerateInputError as exc:
-            raise ConfigError(f"config.probe.coefficients: {exc}")
-    if kind == "coherent":
-        alpha = _complex(_require(section, "alpha", "config.probe"), "config.probe.alpha")
-        tail_tol = section.get("tail_tol", 1e-12)
-        tail_tol = _number(tail_tol, "config.probe.tail_tol")
-        try:
-            return coherent_state(alpha, tail_tol=tail_tol)
-        except ParameterError as exc:
-            raise ConfigError(f"config.probe.tail_tol: {exc}")
-    raise ConfigError(f"config.probe.type: must be 'fock' or 'coherent', got {kind!r}")
+    section = _require(cfg, "probe", "config")
+    if not isinstance(section, dict):
+        raise ConfigError("config.probe: expected an object")
+    kind = section.get("type")
+    # a str check first: an unhashable type, such as a list, cannot be looked up
+    if not isinstance(kind, str) or kind not in _PROBE_TYPES:
+        raise ConfigError(f"config.probe.type: must be 'fock' or 'coherent', got {kind!r}")
+    make, keys = _PROBE_TYPES[kind]
+    fields = {key: value for key, value in section.items() if key != "type"}
+    return _build(make, fields, "config.probe", keys)
 
 
 def parse_sweep(cfg: dict, chain: ChainParams) -> list[float]:
     if "sweep" not in cfg:
         return [chain.lam]
-    sweep = cfg["sweep"]
-    if not isinstance(sweep, list) or not sweep:
-        raise ConfigError("config.sweep: expected a non-empty list of lambda values")
-    values = [_number(v, f"config.sweep[{i}]") for i, v in enumerate(sweep)]
+    values = _list_of(_number)(cfg["sweep"], "config.sweep")
     for i, v in enumerate(values):
         if v < 0.0:
             raise ConfigError(f"config.sweep[{i}]: lambda must be >= 0, got {v}")
@@ -192,14 +206,7 @@ def parse_time_grid(cfg: dict) -> TimeGrid | None:
         return None
     if not isinstance(section, dict):
         raise ConfigError("config.time_grid: expected 'auto' or an object")
-    t_max = _number(_require(section, "t_max", "config.time_grid"), "config.time_grid.t_max")
-    n_samples = _integer(
-        _require(section, "n_samples", "config.time_grid"), "config.time_grid.n_samples"
-    )
-    try:
-        return TimeGrid(t_max=t_max, n_samples=n_samples)
-    except ConfigError as exc:
-        raise ConfigError(f"config.time_grid: {exc}")
+    return _build(TimeGrid, section, "config.time_grid", _TIME_GRID_KEYS)
 
 
 def _out_dir(cfg: dict, out_flag: str | None) -> Path:
@@ -472,27 +479,10 @@ def cmd_lines(cfg: dict, out_flag: str | None):
         yield _write_csv(out / f"lines_branch_{n}.csv", header, columns)
 
 
-# config.oracle key, comparison_suite keyword, parser
-_ORACLE_KEYS = (
-    ("n_sites_list", "n_sites_list", _list_of(_integer)),
-    ("lambdas", "lams", _list_of(_number)),
-    ("g_over_bs", "g_over_bs", _list_of(_number)),
-    ("tolerance", "tolerance", _number),
-)
-
-
 @_command("oracle-check")
 def cmd_oracle_check(cfg: dict, out_flag: str | None):
     """Run the dense-diagonalization comparison suite; exit 4 on deviation."""
-    suite_cfg = cfg.get("oracle", {})
-    if not isinstance(suite_cfg, dict):
-        raise ConfigError("config.oracle: expected an object")
-    kwargs = {
-        keyword: parse(suite_cfg[key], f"config.oracle.{key}")
-        for key, keyword, parse in _ORACLE_KEYS
-        if key in suite_cfg
-    }
-    report = comparison_suite(**kwargs)
+    report = _build(comparison_suite, cfg.get("oracle", {}), "config.oracle", _ORACLE_KEYS)
     path = _out_dir(cfg, out_flag) / "oracle_check.json"
     yield _write_report(path, cfg, report=report)
     if not report["ok"]:
@@ -508,24 +498,11 @@ def cmd_oracle_check(cfg: dict, out_flag: str | None):
 @_command("params")
 def cmd_params(cfg: dict, out_flag: str | None):
     """Derive dimensionless chain parameters from lab-frame device values."""
-    section = _section(cfg, "physical")
+    section = _require(cfg, "physical", "config")
+    phys = _build(PhysicalParams, section, "config.physical", _PHYSICAL_KEYS)
     n_sites = _integer(_require(cfg, "n_sites", "config"), "config.n_sites")
-    known = {field.name for field in dataclasses.fields(PhysicalParams)}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"config.physical.{key}: unknown field")
-    values = {
-        key: _number(value, f"config.physical.{key}") for key, value in section.items()
-    }
-    try:
-        phys = PhysicalParams(**values)
-    except (TypeError, ParameterError) as exc:
-        raise ConfigError(f"config.physical: {exc}")
-    try:
-        params, report = derive_chain_params(phys, n_sites)
-    except ParameterError as exc:
-        raise ConfigError(f"config: {exc}")
-    chain = {key: getattr(params, field) for key, field, _ in _CHAIN_KEYS}
+    params, report = derive_chain_params(phys, n_sites)
+    chain = {key: getattr(params, field) for key, field, *_ in _CHAIN_KEYS}
     path = _out_dir(cfg, out_flag) / "params.json"
     yield _write_report(path, cfg, chain=chain, report=report)
 

@@ -7,6 +7,7 @@ how much coherent-state tail was dropped.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ def fock_superposition(coeffs) -> ProbeState:
     amps = np.asarray(coeffs, dtype=complex).ravel()
     if amps.size == 0:
         raise DegenerateInputError("probe state needs at least one coefficient")
+    if not np.all(np.isfinite(amps)):
+        raise ParameterError(f"coeffs must be finite, got {coeffs!r}")
     norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise DegenerateInputError("all probe coefficients are zero")
@@ -57,6 +60,8 @@ def coherent_state(alpha: complex, tail_tol: float = 1e-12) -> ProbeState:
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha!r}")
     try:
         mean = abs(alpha) ** 2
     except OverflowError:  # |alpha| past ~1e154; refused as subnormal below

@@ -262,8 +262,11 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
     return Spectrum(frequencies=frequencies, values=values, imag_residual=residual)
 
 
-def lorentzian(omega, center: float, gamma: float):
-    """2 Gamma / (Gamma^2 + (omega - center)^2): unit-weight line, peak 2/Gamma."""
+def lorentzian(omega, center, gamma: float):
+    """2 Gamma / (Gamma^2 + (omega - center)^2): unit-weight line, peak 2/Gamma.
+
+    center may be an array of line centers that broadcasts against omega.
+    """
     return 2.0 * gamma / (gamma**2 + (np.asarray(omega) - center) ** 2)
 
 
@@ -290,10 +293,7 @@ def spectrum_analytic(
             for l_start in range(0, decomp.centers.size, 2048):
                 c = decomp.centers[l_start : l_start + 2048]
                 w = decomp.weights[l_start : l_start + 2048]
-                acc += (
-                    (2.0 * gamma * w)
-                    / (gamma**2 + (f[:, None] - c[None, :]) ** 2)
-                ).sum(axis=1)
+                acc += (w * lorentzian(f[:, None], c, gamma)).sum(axis=1)
             values[f_start : f_start + 4096] += weight * acc
     values.setflags(write=False)
     return Spectrum(frequencies=frequencies, values=values, imag_residual=0.0)

@@ -536,6 +536,86 @@ class TestConfigValidation:
         assert "smallest normal double" in result.output
         assert "tail_tol" not in result.output
 
+    @pytest.mark.parametrize(
+        "command, over, path",
+        [
+            (
+                "dispersion",
+                {
+                    "chain": {
+                        "n_sites": 8,
+                        "lambda": 2.0,
+                        "g_over_b": 0.1,
+                        "gamma_over_b": 0.02,
+                        "lamda": 1.0,
+                    }
+                },
+                "config.chain.lamda",
+            ),
+            (
+                "correlation",
+                {"probe": {"type": "fock", "coefficients": [1, 1], "alpha": 1.0}},
+                "config.probe.alpha",
+            ),
+            (
+                "correlation",
+                {"probe": {"type": "coherent", "alpha": 1.0, "tail_tl": 1e-6}},
+                "config.probe.tail_tl",
+            ),
+            (
+                "correlation",
+                {"time_grid": {"t_max": 200.0, "n_samples": 4096, "dt": 0.1}},
+                "config.time_grid.dt",
+            ),
+            # misspelt: the suite would run at the default tolerance
+            ("oracle-check", {"oracle": {"tolerence": 1e-30}}, "config.oracle.tolerence"),
+            ("params", {"physical": {"e_j": 13.0}, "n_sites": 10}, "config.physical.c_sigma"),
+            ("params", {"physical": {"ej": 13.0}, "n_sites": 10}, "config.physical.ej"),
+        ],
+    )
+    def test_section_key_errors_name_the_key(self, runner, tmp_path, command, over, path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **over)
+        result = runner.invoke(main, [command, "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert path in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "probe, path",
+        [
+            ({"type": "coherent", "alpha": math.nan}, "config.probe.alpha"),
+            ({"type": "coherent", "alpha": math.inf}, "config.probe.alpha"),
+            ({"type": "coherent", "alpha": [0.5, -math.inf]}, "config.probe.alpha[1]"),
+            ({"type": "fock", "coefficients": [1, math.inf]}, "config.probe.coefficients[1]"),
+            ({"type": "fock", "coefficients": [math.nan, 1]}, "config.probe.coefficients[0]"),
+            ({"type": "fock", "coefficients": [1, [1, math.nan]]}, "config.probe.coefficients[1][1]"),
+        ],
+    )
+    def test_non_finite_probe_is_config_error(self, runner, tmp_path, probe, path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, probe=probe)
+        result = runner.invoke(main, ["correlation", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert f"{path}: must be finite" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["n_sites_list", "lambdas", "g_over_bs"])
+    def test_empty_oracle_list_is_config_error(self, runner, tmp_path, key):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, oracle={key: []})
+        result = runner.invoke(main, ["oracle-check", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert f"config.oracle.{key}: expected a non-empty list" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_unhashable_probe_type_is_config_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, probe={"type": ["fock"], "coefficients": [1, 1]})
+        result = runner.invoke(main, ["correlation", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "config.probe.type" in result.output
+
     def test_duplicate_sweep_values(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sweep=[1.0, 1.0])

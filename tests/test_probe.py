@@ -43,6 +43,11 @@ class TestFockSuperposition:
         state = fock_superposition([3j, 4])
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("coeffs", [[1, math.nan], [1, math.inf], [complex(1, -math.inf)]])
+    def test_rejects_non_finite(self, coeffs):
+        with pytest.raises(ParameterError, match="coeffs must be finite"):
+            fock_superposition(coeffs)
+
 
 class TestCoherentState:
     def test_zero_amplitude_is_vacuum(self):
@@ -85,6 +90,11 @@ class TestCoherentState:
         for n in range(len(amps) - 1):
             expected = amps[n] * alpha / math.sqrt(n + 1)
             assert abs(amps[n + 1] - expected) <= 1e-13 * max(abs(expected), 1e-30)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1, math.nan)])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ParameterError, match="alpha must be finite"):
+            coherent_state(alpha)
 
     def test_rejects_bad_tail_tol(self):
         with pytest.raises(ParameterError):
