@@ -85,9 +85,13 @@ def _require(cfg: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer past the largest double
+        raise ConfigError(f"{path}: out of the double range") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value, path: str) -> int:

@@ -150,7 +150,11 @@ def oracle_spectrum(
     """Spectrum from branch eigenvector overlaps, summed as Lorentzians.
 
     Each pair of eigenstates (i of H_n, i' of H_{n-1}) contributes weight
-    n |c_n|^2 <G|i><i'|G><i|i'> at center E_i - E_{i'}.
+    w = n |c_n|^2 <G|i><i'|G><i|i'> at center E_i - E_{i'}.  The uncoupled
+    ground state overlaps one momentum and parity sector, so nearly every w is
+    rounding noise: pairs with |w| <= 1e-14 sum|w| of their branch are skipped.
+    A Lorentzian peaks at 2|w|/Gamma, so skipping them moves the exact sum by
+    at most (2/Gamma) sum|w_dropped| at any frequency.
     """
     if n_sites > MAX_SPECTRUM_SITES:
         raise CapacityError(
@@ -170,9 +174,9 @@ def oracle_spectrum(
             build_dense(n_sites, branch_lambda(params, n - 1)).matrix
         )
         pair_weight = weights[n] * (v_n.T @ v_p) * np.outer(v_n.T @ ground, v_p.T @ ground)
-        centers = e_n[:, None] - e_p[None, :]
-        flat_w = pair_weight.ravel()
-        flat_c = centers.ravel()
+        keep = np.abs(pair_weight) > 1e-14 * np.abs(pair_weight).sum()
+        flat_w = pair_weight[keep]
+        flat_c = (e_n[:, None] - e_p[None, :])[keep]
         for f_start in range(0, frequencies.size, 4096):
             f = frequencies[f_start : f_start + 4096]
             acc = np.zeros(f.shape)

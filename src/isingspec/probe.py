@@ -40,7 +40,12 @@ def fock_superposition(coeffs) -> ProbeState:
         raise DegenerateInputError("probe state needs at least one coefficient")
     if not np.all(np.isfinite(amps)):
         raise ParameterError(f"coeffs must be finite, got {coeffs!r}")
-    norm = np.linalg.norm(amps)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(amps)
+    if not 0.0 < norm < math.inf and np.any(amps):  # |c|^2 under- or overflowed
+        top = np.max(np.abs([amps.real, amps.imag]))
+        amps = amps.real / top + 1j * (amps.imag / top)
+        norm = np.linalg.norm(amps)
     if norm == 0.0:
         raise DegenerateInputError("all probe coefficients are zero")
     amps = amps / norm

@@ -600,6 +600,15 @@ class TestConfigValidation:
         assert f"{path}: must be finite" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_integer_past_double_range_is_config_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        chain = {"n_sites": 8, "lambda": 10**400, "g_over_b": 0.1, "gamma_over_b": 0.02}
+        write_config(cfg_path, chain=chain)
+        result = runner.invoke(main, ["correlation", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "config.chain.lambda: out of the double range" in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["n_sites_list", "lambdas", "g_over_bs"])
     def test_empty_oracle_list_is_config_error(self, runner, tmp_path, key):
         cfg_path = tmp_path / "cfg.json"

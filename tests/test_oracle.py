@@ -6,7 +6,9 @@ import pytest
 from isingspec import (
     CapacityError,
     ChainParams,
+    branch_lambda,
     build_dense,
+    coherent_state,
     comparison_suite,
     dispersion,
     fock_superposition,
@@ -154,6 +156,28 @@ class TestOracleSpectrum:
             analytic.values
         )
         assert deviation < 1e-6
+
+    @pytest.mark.parametrize("n_sites", [4, 6, 8])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("probe", ["fock", "coherent"])
+    def test_skipped_lines_match_all_pairs_sum(self, n_sites, lam, probe):
+        # every eigenpair line of every branch, summed with no threshold
+        p = params_for(n_sites, lam=lam)
+        state = fock_superposition([1, 1]) if probe == "fock" else coherent_state(1.0)
+        gamma = p.gamma_over_b
+        grid = np.linspace(-12.0, 12.0, 241)
+        _, ground = ground_state_even(build_dense(n_sites, lam))
+        expected = np.zeros(grid.shape)
+        for n, weight in enumerate(state.branch_weights()[1:], start=1):
+            e_n, v_n = np.linalg.eigh(build_dense(n_sites, branch_lambda(p, n)).matrix)
+            e_p, v_p = np.linalg.eigh(build_dense(n_sites, branch_lambda(p, n - 1)).matrix)
+            w = weight * (v_n.T @ v_p) * np.outer(v_n.T @ ground, v_p.T @ ground)
+            centers = e_n[:, None] - e_p[None, :]
+            for i, f in enumerate(grid):
+                expected[i] += np.sum(2.0 * gamma * w / (gamma**2 + (f - centers) ** 2))
+        values = oracle_spectrum(n_sites, p, state, grid).values
+        deviation = np.linalg.norm(values - expected) / np.linalg.norm(expected)
+        assert deviation <= 1e-12
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):

@@ -48,6 +48,13 @@ class TestFockSuperposition:
         with pytest.raises(ParameterError, match="coeffs must be finite"):
             fock_superposition(coeffs)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norm_out_of_double_range(self, scale):
+        # |c|^2 overflows or underflows although every coefficient is finite
+        state = fock_superposition([scale, scale])
+        np.testing.assert_array_equal(state.amplitudes, fock_superposition([1, 1]).amplitudes)
+        np.testing.assert_allclose(state.amplitudes, [2**-0.5, 2**-0.5], rtol=1e-15)
+
 
 class TestCoherentState:
     def test_zero_amplitude_is_vacuum(self):
