@@ -51,7 +51,6 @@ from .spectrum import (
     weighted_echo,
 )
 from .oracle import (
-    DenseSpinHamiltonian,
     build_dense,
     comparison_suite,
     free_fermion_ground_energy,
@@ -70,7 +69,6 @@ __all__ = [
     "ConfigError",
     "CorrelationSeries",
     "DegenerateInputError",
-    "DenseSpinHamiltonian",
     "FarFieldReport",
     "IsingSpecError",
     "LineDecomposition",

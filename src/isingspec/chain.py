@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .params import ChainParams, branch_lambda
 
 
@@ -22,13 +22,19 @@ def momentum_grid(n_sites: int) -> np.ndarray:
     """Positive momenta (2m+1) pi / N for m = 0 .. N/2 - 1.
 
     Each entry implicitly pairs with -k.  Strictly increasing, all in
-    (0, pi).
+    (0, pi).  CapacityError when numpy cannot make an array of N/2 entries.
     """
     if not isinstance(n_sites, int) or n_sites < 2 or n_sites % 2:
         raise ParameterError(
             f"n_sites must be an even integer >= 2, got {n_sites!r}"
         )
-    return (2.0 * np.arange(n_sites // 2) + 1.0) * np.pi / n_sites
+    try:
+        m = np.arange(n_sites // 2)
+    except (ValueError, MemoryError):
+        raise CapacityError(
+            f"n_sites={n_sites} has too many momenta for one array"
+        ) from None
+    return (2.0 * m + 1.0) * np.pi / n_sites
 
 
 def dispersion(k, lam):

@@ -402,13 +402,13 @@ def _command(name: str, sweep: bool = False):
 def cmd_dispersion(cfg: dict, out_flag: str | None):
     """Write (k, epsilon_k, theta_k) rows for the configured lambda."""
     chain = parse_chain(cfg)
-    out = _out_dir(cfg, out_flag)
     k = momentum_grid(chain.n_sites)
     columns = {
         "k": k,
         "epsilon": dispersion(k, chain.lam),
         "theta": bogoliubov_angle(k, chain.lam),
     }
+    out = _out_dir(cfg, out_flag)
     yield _write_csv(out / "dispersion.csv", _header_lines(cfg), columns)
 
 

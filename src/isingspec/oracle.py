@@ -9,7 +9,7 @@ between the two is meaningful evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -27,17 +27,8 @@ _SUITE_BRANCHES = (1, 2)
 _SUITE_T_SPAN = 20.0
 
 
-@dataclass(frozen=True)
-class DenseSpinHamiltonian:
-    """Dense 2^N x 2^N matrix of the chain at one field ratio (B = 1)."""
-
-    n_sites: int
-    lam: float
-    matrix: np.ndarray
-
-
-def build_dense(n_sites: int, lam: float) -> DenseSpinHamiltonian:
-    """Chain Hamiltonian sum_a (lam sx_a + sz_a sz_{a+1}) with periodic closure.
+def build_dense(n_sites: int, lam: float) -> np.ndarray:
+    """Read-only 2^N x 2^N matrix of sum_a (lam sx_a + sz_a sz_{a+1}), periodic, B = 1.
 
     Assembled in the sigma_z product basis by bit arithmetic: the coupling
     is diagonal, the field flips one bit per site.
@@ -61,7 +52,18 @@ def build_dense(n_sites: int, lam: float) -> DenseSpinHamiltonian:
     for a in range(n_sites):
         matrix[states, states ^ (1 << a)] += lam
     matrix.setflags(write=False)
-    return DenseSpinHamiltonian(n_sites=n_sites, lam=lam, matrix=matrix)
+    return matrix
+
+
+# the one dense eigensolve; four entries hold one (lambda, g) working set:
+# H(lam), H(lam - g), H(lam - 3g) and H(lam - 5g)
+@functools.lru_cache(maxsize=4)
+def _eigh(n_sites: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenvalues and eigenvectors of build_dense(n_sites, lam)."""
+    energies, vectors = np.linalg.eigh(build_dense(n_sites, lam))
+    energies.setflags(write=False)
+    vectors.setflags(write=False)
+    return energies, vectors
 
 
 def parity_apply(vec: np.ndarray, n_sites: int) -> np.ndarray:
@@ -70,17 +72,17 @@ def parity_apply(vec: np.ndarray, n_sites: int) -> np.ndarray:
     return vec[np.arange(dim) ^ (dim - 1)]
 
 
-def ground_state_even(ham: DenseSpinHamiltonian) -> tuple[float, np.ndarray]:
+def ground_state_even(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair restricted to positive parity under prod sx.
 
     Near-degenerate doublets (the ordered phase at finite N) are resolved by
     explicitly projecting onto the even component, which stays an
     eigenvector because parity commutes with the Hamiltonian.
     """
-    energies, vectors = np.linalg.eigh(ham.matrix)
+    energies, vectors = _eigh(n_sites, lam)
     for i in range(len(energies)):
         vec = vectors[:, i]
-        even = vec + parity_apply(vec, ham.n_sites)
+        even = vec + parity_apply(vec, n_sites)
         norm = np.linalg.norm(even)
         if norm > 1e-6:
             return float(energies[i]), even / norm
@@ -92,23 +94,23 @@ def free_fermion_ground_energy(n_sites: int, lam: float) -> float:
     return float(-np.sum(dispersion(momentum_grid(n_sites), lam)))
 
 
+def _branch_overlaps(n_sites: int, params: ChainParams, n: int):
+    """E_n, E_{n-1} and <G|i><i|i'><i'|G> for eigenstates i of H_n, i' of H_{n-1}."""
+    if n < 1:
+        raise ParameterError(f"branch must be >= 1, got {n!r}")
+    _, ground = ground_state_even(n_sites, params.lam)
+    e_n, v_n = _eigh(n_sites, branch_lambda(params, n))
+    e_p, v_p = _eigh(n_sites, branch_lambda(params, n - 1))
+    return e_n, e_p, (v_n.T @ v_p) * np.outer(v_n.T @ ground, v_p.T @ ground)
+
+
 def oracle_decoherence(n_sites: int, params: ChainParams, n_branch: int, t):
     """Echo <G| exp(i H_n t) exp(-i H_{n-1} t) |G> by spectral decomposition.
 
     |G> is the even-parity ground state of the uncoupled chain; both branch
     propagators come from dense Hermitian eigendecompositions.
     """
-    if n_branch < 1:
-        raise ParameterError(f"branch must be >= 1, got {n_branch!r}")
-    _, ground = ground_state_even(build_dense(n_sites, params.lam))
-    e_n, v_n = np.linalg.eigh(build_dense(n_sites, branch_lambda(params, n_branch)).matrix)
-    e_p, v_p = np.linalg.eigh(
-        build_dense(n_sites, branch_lambda(params, n_branch - 1)).matrix
-    )
-    left = v_n.T @ ground
-    right = v_p.T @ ground
-    mixer = (v_n.T @ v_p) * np.outer(left, right)
-
+    e_n, e_p, mixer = _branch_overlaps(n_sites, params, n_branch)
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.array(
@@ -163,17 +165,13 @@ def oracle_spectrum(
     frequencies = np.asarray(freq_grid, dtype=float)
     gamma = params.gamma_over_b
     weights = state.branch_weights()
-    _, ground = ground_state_even(build_dense(n_sites, params.lam))
 
     values = np.zeros(frequencies.shape)
     for n in range(1, len(weights)):
         if weights[n] <= 0.0:
             continue
-        e_n, v_n = np.linalg.eigh(build_dense(n_sites, branch_lambda(params, n)).matrix)
-        e_p, v_p = np.linalg.eigh(
-            build_dense(n_sites, branch_lambda(params, n - 1)).matrix
-        )
-        pair_weight = weights[n] * (v_n.T @ v_p) * np.outer(v_n.T @ ground, v_p.T @ ground)
+        e_n, e_p, overlaps = _branch_overlaps(n_sites, params, n)
+        pair_weight = weights[n] * overlaps
         keep = np.abs(pair_weight) > 1e-14 * np.abs(pair_weight).sum()
         flat_w = pair_weight[keep]
         flat_c = (e_n[:, None] - e_p[None, :])[keep]
@@ -218,7 +216,7 @@ def comparison_suite(
     for n_sites in n_sites_list:
         for lam in lams:
             energy_dev = abs(
-                ground_state_even(build_dense(n_sites, lam))[0]
+                ground_state_even(n_sites, lam)[0]
                 - free_fermion_ground_energy(n_sites, lam)
             )
             worst_energy = max(worst_energy, energy_dev)

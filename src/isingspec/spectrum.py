@@ -121,16 +121,21 @@ def auto_time_grid(
 ) -> TimeGrid:
     """Check an explicit grid at params.lam, or pick one for the FFT path.
 
-    A given grid is returned unchanged; ConfigError when its Nyquist
-    frequency pi/dt is below the band estimate (unpadded: the auto rule's
-    factor-two pad is headroom, not a requirement).  Otherwise t_max =
-    8 / (Gamma/B) resolves the Lorentzian width, and the Nyquist frequency
-    must clear the band estimate of every populated branch, padded by a
-    factor of two.  The padded estimate is echoed in the grid so output
-    headers can record it.  A grid that would need more than 2^22 samples
-    raises CapacityError.
+    A given grid is returned unchanged; CapacityError when it has more than
+    2^22 samples, ConfigError when its Nyquist frequency pi/dt is below the
+    band estimate (unpadded: the auto rule's factor-two pad is headroom, not
+    a requirement).  Otherwise t_max = 8 / (Gamma/B) resolves the Lorentzian
+    width, and the Nyquist frequency must clear the band estimate of every
+    populated branch, padded by a factor of two.  The padded estimate is
+    echoed in the grid so output headers can record it.  A grid that would
+    need more than 2^22 samples raises CapacityError.
     """
     if grid is not None:
+        if grid.n_samples > 1 << _MAX_SAMPLES_LOG2:
+            raise CapacityError(
+                f"config.time_grid: n_samples={grid.n_samples} is above the cap of "
+                f"2^{_MAX_SAMPLES_LOG2}"
+            )
         nyquist = math.pi * grid.n_samples / (2.0 * grid.t_max)
         band = _band_estimate(table, state)
         if nyquist < band:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isingspec import (
+    CapacityError,
     ChainParams,
     ParameterError,
     bogoliubov_angle,
@@ -34,6 +35,11 @@ class TestMomentumGrid:
     def test_rejects_odd_or_nonpositive(self, bad):
         with pytest.raises(ParameterError):
             momentum_grid(bad)
+
+    def test_past_array_size_is_capacity_error(self):
+        # numpy refuses a 300-digit length before allocating anything
+        with pytest.raises(CapacityError, match="n_sites"):
+            momentum_grid(2 * 10**299)
 
 
 class TestDispersion:

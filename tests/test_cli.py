@@ -476,6 +476,8 @@ class TestConfigValidation:
             (1e-310, "auto", [2.0], "1", 3, "2^inf samples"),
             # 2 t_max overflows: the auto rule's count is inf
             (0.02, {"t_max": 1e308, "n_samples": 4096}, [2.0], "1", 2, "n_samples=inf"),
+            # refused by count, before numpy sees the size of 2^62 samples
+            (0.02, {"t_max": 200.0, "n_samples": 1 << 62}, [2.0], "1", 3, "cap of 2^22"),
         ],
     )
     def test_grid_error_at_any_lambda_writes_nothing(
@@ -506,6 +508,16 @@ class TestConfigValidation:
         )
         result = runner.invoke(main, ["sweep", "--config", str(cfg_path)])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command", ["dispersion", "correlation"])
+    def test_n_sites_past_array_size_is_capacity_error(self, runner, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        chain = {"n_sites": 2 * 10**299, "lambda": 2.0, "g_over_b": 0.1, "gamma_over_b": 0.02}
+        write_config(cfg_path, chain=chain)
+        result = runner.invoke(main, [command, "--config", str(cfg_path)])
+        assert result.exit_code == 3, result.output
+        assert "n_sites=2000" in result.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["correlation", "spectrum"])
     def test_colliding_lambda_tags_are_config_error(self, runner, tmp_path, command):

@@ -20,7 +20,7 @@ from isingspec import (
     spectrum_analytic,
     build_mode_table,
 )
-from isingspec.oracle import parity_apply
+from isingspec.oracle import _eigh, parity_apply
 
 
 def params_for(n_sites, lam=1.0, g_over_b=0.1, gamma_over_b=0.02):
@@ -32,7 +32,7 @@ def params_for(n_sites, lam=1.0, g_over_b=0.1, gamma_over_b=0.02):
 class TestBuildDense:
     def test_two_sites_zero_field(self):
         ham = build_dense(2, 0.0)
-        eigenvalues = np.sort(np.linalg.eigvalsh(ham.matrix))
+        eigenvalues = np.sort(np.linalg.eigvalsh(ham))
         np.testing.assert_allclose(eigenvalues, [-2.0, -2.0, 2.0, 2.0], atol=1e-12)
 
     def test_two_sites_general_field(self):
@@ -49,17 +49,16 @@ class TestBuildDense:
             ]
         )
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(ham.matrix)), expected, atol=1e-12
+            np.sort(np.linalg.eigvalsh(ham)), expected, atol=1e-12
         )
 
     def test_symmetric(self):
         ham = build_dense(6, 1.3)
-        assert np.max(np.abs(ham.matrix - ham.matrix.T)) < 1e-12
+        assert np.max(np.abs(ham - ham.T)) < 1e-12
 
     def test_commutes_with_parity(self):
         for lam in (0.0, 0.5, 1.0, 2.0):
-            ham = build_dense(4, lam)
-            h = ham.matrix
+            h = build_dense(4, lam)
             # parity conjugation permutes rows and columns by global bit flip
             idx = np.arange(h.shape[0]) ^ (h.shape[0] - 1)
             assert np.max(np.abs(h[np.ix_(idx, idx)] - h)) < 1e-12
@@ -73,22 +72,21 @@ class TestGroundState:
     @pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10])
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 100.0])
     def test_energy_matches_free_fermions(self, n_sites, lam):
-        energy, _ = ground_state_even(build_dense(n_sites, lam))
+        energy, _ = ground_state_even(n_sites, lam)
         assert energy == pytest.approx(
             free_fermion_ground_energy(n_sites, lam), abs=1e-9
         )
 
     def test_ground_state_is_parity_even(self):
         for lam in (0.2, 1.0, 3.0):
-            ham = build_dense(6, lam)
-            _, vec = ground_state_even(ham)
+            _, vec = ground_state_even(6, lam)
             np.testing.assert_allclose(parity_apply(vec, 6), vec, atol=1e-9)
 
     def test_even_sector_contains_every_pair_combination(self):
         # project the dense Hamiltonian onto the parity-even subspace and
         # check every sum of +-eps_k over momentum pairs appears there
         n_sites, lam = 6, 0.8
-        ham = build_dense(n_sites, lam).matrix
+        ham = build_dense(n_sites, lam)
         dim = ham.shape[0]
         mask = dim - 1
         basis = []
@@ -166,11 +164,11 @@ class TestOracleSpectrum:
         state = fock_superposition([1, 1]) if probe == "fock" else coherent_state(1.0)
         gamma = p.gamma_over_b
         grid = np.linspace(-12.0, 12.0, 241)
-        _, ground = ground_state_even(build_dense(n_sites, lam))
+        _, ground = ground_state_even(n_sites, lam)
         expected = np.zeros(grid.shape)
         for n, weight in enumerate(state.branch_weights()[1:], start=1):
-            e_n, v_n = np.linalg.eigh(build_dense(n_sites, branch_lambda(p, n)).matrix)
-            e_p, v_p = np.linalg.eigh(build_dense(n_sites, branch_lambda(p, n - 1)).matrix)
+            e_n, v_n = np.linalg.eigh(build_dense(n_sites, branch_lambda(p, n)))
+            e_p, v_p = np.linalg.eigh(build_dense(n_sites, branch_lambda(p, n - 1)))
             w = weight * (v_n.T @ v_p) * np.outer(v_n.T @ ground, v_p.T @ ground)
             centers = e_n[:, None] - e_p[None, :]
             for i, f in enumerate(grid):
@@ -182,6 +180,29 @@ class TestOracleSpectrum:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             oracle_spectrum(12, params_for(12), fock_superposition([1, 1]), [0.0])
+
+
+class TestEigensolveReuse:
+    def test_suite_decomposes_each_hamiltonian_once(self, monkeypatch):
+        # per g/B: H(lam - g), H(lam - 3g), H(lam - 5g); plus H(lam) once
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        _eigh.cache_clear()
+        comparison_suite(n_sites_list=(4,), lams=(1.0,))
+        assert len(calls) == 7
+
+    def test_cached_eigenpairs_are_read_only(self):
+        energies, vectors = _eigh(4, 0.7)
+        with pytest.raises(ValueError):
+            energies[0] = 0.0
+        with pytest.raises(ValueError):
+            vectors[0, 0] = 0.0
 
 
 class TestComparisonSuite:

@@ -303,6 +303,16 @@ class TestAutoTimeGrid:
         nyquist = math.pi * grid.n_samples / (2 * grid.t_max)
         assert nyquist >= grid.omega_estimate
 
+    def test_explicit_grid_above_cap_is_capacity_error(self):
+        # checked by count alone: no series of either size is computed
+        p = params_for()
+        table = build_mode_table(p, n_max=1)
+        state = fock_superposition([1, 1])
+        at_cap = TimeGrid(t_max=200.0, n_samples=1 << 22)
+        assert auto_time_grid(p, table, state, at_cap) is at_cap
+        with pytest.raises(CapacityError, match=r"n_samples=8388608 .* 2\^22"):
+            auto_time_grid(p, table, state, TimeGrid(t_max=200.0, n_samples=1 << 23))
+
     def test_clipped_sample_count_is_capacity_error(self):
         # Nyquist 82 on the 2^22 cap against a padded band estimate of 221
         p = params_for(n_sites=1000, lam=1.0, g_over_b=0.08125, gamma_over_b=1e-4)
