@@ -22,9 +22,10 @@ from .spectrum import Spectrum
 
 MAX_DENSE_SITES = 12
 MAX_SPECTRUM_SITES = 10
-# comparison_suite: photon branches checked per case, and the echo time span
+# comparison_suite: photon branches checked per case, and the echo time grid
 _SUITE_BRANCHES = (1, 2)
 _SUITE_T_SPAN = 20.0
+_SUITE_TIMES = 50
 
 
 def build_dense(n_sites: int, lam: float) -> np.ndarray:
@@ -194,22 +195,21 @@ def comparison_suite(
     n_sites_list=(2, 4, 6, 8),
     lams=(0.5, 1.0, 2.0),
     g_over_bs=(0.05, 0.1),
-    n_times: int = 50,
     tolerance: float = 1e-8,
 ) -> dict:
     """Cross-check the product-formula echo against dense diagonalization.
 
-    Runs every (N, lambda, g/B) combination, comparing the echo at evenly
-    spaced times and the even-sector ground energies.  Returns a JSON-ready
-    report with per-case and overall maxima; ok is True when everything
-    stays below tolerance.
+    Runs every (N, lambda, g/B) combination, comparing the echo at 50 evenly
+    spaced times on [0, 20] and the even-sector ground energies.  Returns a
+    JSON-ready report with per-case and overall maxima; ok is True when
+    everything stays below tolerance.
     """
     for n_sites in n_sites_list:
         if n_sites > MAX_DENSE_SITES:
             raise CapacityError(
                 f"dense construction is capped at {MAX_DENSE_SITES} sites, got {n_sites}"
             )
-    times = np.linspace(0.0, _SUITE_T_SPAN, n_times)
+    times = np.linspace(0.0, _SUITE_T_SPAN, _SUITE_TIMES)
     cases = []
     worst_echo = 0.0
     worst_energy = 0.0
@@ -245,7 +245,7 @@ def comparison_suite(
         "max_echo_deviation": worst_echo,
         "max_ground_energy_deviation": worst_energy,
         "ok": bool(worst_echo < tolerance and worst_energy < tolerance),
-        "n_times": n_times,
+        "n_times": _SUITE_TIMES,
         "t_span": _SUITE_T_SPAN,
         "branches": list(_SUITE_BRANCHES),
         "cases": cases,

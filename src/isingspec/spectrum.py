@@ -34,6 +34,8 @@ _MAX_SAMPLES_LOG2 = 22
 _NOISE_FLOOR = 1e-12
 # largest spacing deviation, relative to the first spacing, of a uniform grid
 _SPACING_REL_TOL = 1e-6
+# threshold_crossing_time: the |S(t)| / S(0) level that counts as collapsed
+_CROSSING_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,13 @@ class TimeGrid:
         n = self.n_samples
         if not isinstance(n, numbers.Integral) or n < 2 or n & (n - 1):
             raise ConfigError(f"n_samples must be a power of two >= 2, got {n!r}")
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
-            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max!r}")
+        # correlation_series's step 2 t_max / n; 1 / n stays a float for any int n
+        step = 2.0 * self.t_max * (1 / n)
+        if not 0.0 < step < math.inf:
+            raise ConfigError(
+                f"t_max={self.t_max!r} gives the step 2*t_max/n_samples={step!r}; "
+                "it must be finite and > 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,6 @@ def _band_estimate(table: ModeTable, state: ProbeState) -> float:
             masses = flip_mass[qualifying][order]
             reaches = reach[qualifying][order]
             keep = np.cumprod(masses) >= _ALIAS_MASS_FLOOR
-            keep[0] = True  # any single qualifying flip is visible
             flip_part = max(
                 float(np.sum(reaches[keep])), float(np.max(reach[qualifying]))
             )
@@ -225,6 +231,8 @@ def correlation_series(
     half = np.arange(n_samples // 2 + 1) * dt  # 0 .. t_max inclusive
     positive = weighted_echo(table, state, half)
     positive *= np.exp(-params.gamma_over_b * half)
+    if not np.isfinite(positive).all():
+        raise NumericsError(f"S(t) is not finite at lambda={params.lam:g} on t_max={t_max:g}")
 
     values = np.empty(n_samples, dtype=complex)
     values[n_samples // 2 :] = positive[: n_samples // 2]
@@ -255,8 +263,8 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
     raw = np.fft.fftshift(raw)
 
     peak = float(np.max(np.abs(raw.real))) if m else 0.0
-    residual = float(np.max(np.abs(raw.imag)) / peak) if peak > 0.0 else 0.0
-    if residual > _IMAG_RESIDUAL_LIMIT:
+    residual = float(np.max(np.abs(raw.imag)) / peak) if peak != 0.0 else 0.0
+    if not residual <= _IMAG_RESIDUAL_LIMIT:  # NaN fails too
         raise NumericsError(
             f"imaginary residue {residual:.3e} of the transform exceeds "
             f"{_IMAG_RESIDUAL_LIMIT:g} of the peak; the time grid is unsound"
@@ -317,18 +325,17 @@ def broadening_metrics(spec: Spectrum) -> BroadeningMetrics:
     d_omega = float(frequencies[1] - frequencies[0])
     if np.any(np.abs(np.diff(frequencies) - d_omega) > _SPACING_REL_TOL * d_omega):
         raise DegenerateInputError("spectrum frequencies are not uniformly spaced")
-    if float(magnitude.max()) <= _NOISE_FLOOR:
-        raise DegenerateInputError("spectrum has no mass above the noise floor")
-    p = magnitude / magnitude.sum()
+    peak, total = float(magnitude.max()), float(magnitude.sum())
+    # False for NaN; a finite total needs a finite peak, and peak <= total
+    if not _NOISE_FLOOR < peak <= total < math.inf:
+        raise DegenerateInputError("spectrum needs a finite |S| mass above the noise floor")
+    p = magnitude / total
 
     cum = np.concatenate([[0.0], np.cumsum(p)])
     right = np.arange(1, p.size + 1)
     left = np.searchsorted(cum, cum[1:] - 0.9, side="right") - 1
-    ok = left >= 0
-    if ok.any():
-        w90 = float((right[ok] - left[ok]).min()) * d_omega
-    else:  # mass never reaches 90% from any left edge (cannot happen: sums to 1)
-        w90 = p.size * d_omega
+    ok = left >= 0  # the last right edge always qualifies: p sums to 1
+    w90 = float((right[ok] - left[ok]).min()) * d_omega
 
     nonzero = p[p > 0.0]
     entropy = float(-np.sum(nonzero * np.log(nonzero)))
@@ -403,30 +410,23 @@ def far_field_check(
 
 
 def threshold_crossing_time(
-    params: ChainParams,
-    table: ModeTable,
-    state: ProbeState,
-    threshold: float = 0.1,
-    horizon: float | None = None,
+    params: ChainParams, table: ModeTable, state: ProbeState
 ) -> float:
-    """First t >= 0 where |S(t)| / S(0) falls below threshold.
+    """First t >= 0 where |S(t)| / S(0) falls below 0.1.
 
     Scans densely (fine steps at short times where echo collapse happens,
-    coarser out to the envelope horizon), then bisects the bracketing
-    interval with exact evaluations.  Returns inf if the ratio never drops
-    below threshold inside the horizon.
+    coarser out to the horizon 1.2 ln(10) / (Gamma/B), or 2000 at Gamma = 0),
+    then bisects the bracketing interval with exact evaluations.  Returns
+    inf if the ratio never drops below 0.1 inside the horizon.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold!r}")
     s0 = float(sum(_populated_branches(table, state).values()))
     if s0 <= 0.0:
         raise DegenerateInputError("probe state carries no photon-number weight")
 
     gamma = params.gamma_over_b
-    if horizon is None:
-        horizon = (
-            1.2 * math.log(1.0 / threshold) / gamma if gamma > 0.0 else 2000.0
-        )
+    horizon = (
+        1.2 * math.log(1.0 / _CROSSING_THRESHOLD) / gamma if gamma > 0.0 else 2000.0
+    )
 
     def ratio(ts: np.ndarray) -> np.ndarray:
         return np.abs(weighted_echo(table, state, ts)) * np.exp(-gamma * ts) / s0
@@ -437,16 +437,14 @@ def threshold_crossing_time(
     segments = [np.arange(0.0, split, 0.005), np.arange(split, horizon, 0.1)]
     ts = np.concatenate(segments)
     r = np.concatenate([ratio(segment) for segment in segments])
-    below = np.nonzero(r < threshold)[0]
+    below = np.nonzero(r < _CROSSING_THRESHOLD)[0]
     if below.size == 0:
         return math.inf
-    i = int(below[0])
-    if i == 0:  # cannot occur: the ratio starts at 1
-        return float(ts[0])
+    i = int(below[0])  # > 0: the ratio starts at 1
     lo, hi = float(ts[i - 1]), float(ts[i])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if float(ratio(np.array([mid]))[0]) < threshold:
+        if float(ratio(np.array([mid]))[0]) < _CROSSING_THRESHOLD:
             hi = mid
         else:
             lo = mid

@@ -15,13 +15,16 @@ that regime, and asserts the two-sided w90 maximum at
 g/B = sqrt(WEAK_PROBE_NG2 / N).
 """
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import isingspec as iq
+from isingspec.cli import main
 
 G_OVER_B = 0.13 / 1.6
 GAMMA_OVER_B = 0.0039
@@ -55,28 +58,43 @@ def spectrum_for(params, state, t_max, n_samples):
     return iq.spectrum_fft(series)
 
 
-def sweep_metrics(n_sites, g_over_b):
-    """Broadening metrics over SWEEP on the common auto grid.
+def sweep_metrics(n_sites, g_over_b, out_dir):
+    """Broadening metrics over SWEEP from `isingspec sweep` on the common auto grid.
 
     The grid spans the first lambda's t_max with the largest sample count
-    any lambda of the sweep asks for.
+    any lambda of the sweep asks for; the config holds it as an explicit
+    time_grid, which the command checks against each lambda's band.
     """
-    params_by_lam = {lam: chain(n_sites, lam, g_over_b=g_over_b) for lam in SWEEP}
-    tables = {
-        lam: iq.build_mode_table(p, n_max=1) for lam, p in params_by_lam.items()
-    }
-    grids = [
-        iq.auto_time_grid(params_by_lam[lam], tables[lam], FOCK) for lam in SWEEP
-    ]
-    t_max = grids[0].t_max
-    n_samples = max(g.n_samples for g in grids)
-    metrics = {}
+    grids = []
     for lam in SWEEP:
-        series = iq.correlation_series(
-            params_by_lam[lam], tables[lam], FOCK, t_max, n_samples
+        params = chain(n_sites, lam, g_over_b=g_over_b)
+        grids.append(iq.auto_time_grid(params, iq.build_mode_table(params, n_max=1), FOCK))
+    cfg = {
+        "chain": {
+            "n_sites": n_sites,
+            "lambda": SWEEP[0],
+            "g_over_b": g_over_b,
+            "gamma_over_b": GAMMA_OVER_B,
+        },
+        "probe": {"type": "fock", "coefficients": [1, 1]},
+        "time_grid": {
+            "t_max": grids[0].t_max,
+            "n_samples": max(g.n_samples for g in grids),
+        },
+        "sweep": list(SWEEP),
+        "output": str(out_dir),
+    }
+    config = out_dir.parent / f"{out_dir.name}.json"
+    config.write_text(json.dumps(cfg))
+    result = CliRunner().invoke(main, ["sweep", "--config", str(config), "--threads", "2"])
+    assert result.exit_code == 0, result.output
+    records = json.loads((out_dir / "sweep_metrics.json").read_text())["results"]
+    return {
+        r["lambda"]: iq.BroadeningMetrics(
+            w90=r["w90"], entropy=r["entropy"], participation=r["participation"]
         )
-        metrics[lam] = iq.broadening_metrics(iq.spectrum_fft(series))
-    return metrics
+        for r in records
+    }
 
 
 def sweep_detail(metrics):
@@ -215,7 +233,7 @@ class TestCriterion4:
 
 
 class TestCriterion5:
-    def test_broadening_metrics_peak_at_critical_point(self):
+    def test_broadening_metrics_peak_at_critical_point(self, tmp_path):
         # Two couplings at N = 1000, same sweep, same Gamma, common grid.
         #
         # Device coupling g/B = 0.08125 (N*g^2 = 6.6): on the ordered side
@@ -230,9 +248,9 @@ class TestCriterion5:
         # the ordered side stays narrow and both the w90 and the entropy
         # maxima sit at lambda = 1 (w90 1.61 against 0.13 at lambda = 0.5).
         n_sites = 1000
-        device = sweep_metrics(n_sites, G_OVER_B)
+        device = sweep_metrics(n_sites, G_OVER_B, tmp_path / "device")
         weak_g = math.sqrt(WEAK_PROBE_NG2 / n_sites)
-        weak = sweep_metrics(n_sites, weak_g)
+        weak = sweep_metrics(n_sites, weak_g, tmp_path / "weak")
 
         entropy_argmax = max(SWEEP, key=lambda lam: device[lam].entropy)
         ratio = device[1.0].w90 / device[100.0].w90

@@ -474,7 +474,7 @@ class TestConfigValidation:
             (0.0, "auto", [0.5, 2.0], "2", 2, "gamma_over_b > 0"),
             # t_max = 8 / gamma overflows to inf
             (1e-310, "auto", [2.0], "1", 3, "2^inf samples"),
-            # 2 t_max overflows: the auto rule's count is inf
+            # 2 t_max overflows: the step 2*t_max/n_samples is inf
             (0.02, {"t_max": 1e308, "n_samples": 4096}, [2.0], "1", 2, "n_samples=inf"),
             # refused by count, before numpy sees the size of 2^62 samples
             (0.02, {"t_max": 200.0, "n_samples": 1 << 62}, [2.0], "1", 3, "cap of 2^22"),
@@ -495,6 +495,38 @@ class TestConfigValidation:
         assert result.exit_code == code, result.output
         assert message in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_step_overflow_is_config_error(self, runner, tmp_path):
+        # 2 * 1e308 overflows, so the step of the explicit grid is inf; at g = 0
+        # the band check passes any grid, and correlation used to write NaN rows
+        cfg_path = tmp_path / "cfg.json"
+        write_config(
+            cfg_path,
+            chain={"n_sites": 8, "lambda": 1.0, "g_over_b": 0.0, "gamma_over_b": 0.02},
+            time_grid={"t_max": 1e308, "n_samples": 1024},
+            sweep=[0.5, 1.0],
+        )
+        result = runner.invoke(main, ["correlation", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "t_max=1e+308" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["correlation", "spectrum", "sweep"])
+    def test_non_finite_echo_is_numerics_error(self, runner, tmp_path, command):
+        # the step is finite, but the phases omega * t overflow to inf and S(t) to NaN
+        cfg_path = tmp_path / "cfg.json"
+        write_config(
+            cfg_path,
+            chain={"n_sites": 8, "lambda": 1.0, "g_over_b": 0.0, "gamma_over_b": 0.02},
+            time_grid={"t_max": 5e307, "n_samples": 1024},
+            sweep=[0.5, 1.0],
+        )
+        args = [command, "--config", str(cfg_path), "--threads", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 5, result.output
+        assert "lambda=0.5 on t_max=5e+307" in result.output
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_explicit_grid_checked_against_unpadded_band(self, runner, tmp_path):
         # Nyquist 50.19 clears the unpadded estimate 25.36 but not the auto

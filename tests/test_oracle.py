@@ -207,9 +207,7 @@ class TestEigensolveReuse:
 
 class TestComparisonSuite:
     def test_default_style_suite_passes(self):
-        report = comparison_suite(
-            n_sites_list=(2, 4), lams=(0.5, 1.0), g_over_bs=(0.1,), n_times=20
-        )
+        report = comparison_suite(n_sites_list=(2, 4), lams=(0.5, 1.0), g_over_bs=(0.1,))
         assert report["ok"]
         assert report["max_echo_deviation"] < 1e-10
         assert report["max_ground_energy_deviation"] < 1e-10
