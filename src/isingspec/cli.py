@@ -214,17 +214,14 @@ def parse_time_grid(cfg: dict) -> TimeGrid | None:
 
 
 def _out_dir(cfg: dict, out_flag: str | None) -> Path:
+    """The output directory: --out, else config.output.  Nothing is created here;
+    _open_output makes the directory when the first file is written into it."""
     target = out_flag or cfg.get("output")
     if target is None:
         raise ConfigError("config.output: missing (or pass --out)")
     if not isinstance(target, str):
         raise ConfigError(f"config.output: expected a directory path string, got {target!r}")
-    path = Path(target)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}")
-    return path
+    return Path(target)
 
 
 def _header_lines(cfg: dict, grid: TimeGrid | None = None) -> list[str]:
@@ -241,6 +238,15 @@ def _header_lines(cfg: dict, grid: TimeGrid | None = None) -> list[str]:
     return lines
 
 
+def _open_output(path: Path, mode: str, **kwargs):
+    """open(path, mode, **kwargs), making its parent directory first."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path.parent}: {exc}")
+    return open(path, mode, **kwargs)
+
+
 def _write_csv(path: Path, header: list[str], columns: dict[str, np.ndarray]) -> Path:
     """Write header lines, the column names, then one row per index of the columns.
 
@@ -252,7 +258,7 @@ def _write_csv(path: Path, header: list[str], columns: dict[str, np.ndarray]) ->
     n_rows = len(arrays[0])
     row_fmt = (",".join([_FLOAT_FMT] * len(arrays)) + "\n").encode()
     block = np.empty((min(n_rows, _CSV_CHUNK), len(arrays)))
-    with open(path, "wb") as fh:
+    with _open_output(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in [*header, ",".join(columns)]).encode())
         for start in range(0, n_rows, _CSV_CHUNK):
             rows = block[: n_rows - start]
@@ -263,7 +269,7 @@ def _write_csv(path: Path, header: list[str], columns: dict[str, np.ndarray]) ->
 
 
 def _write_json(path: Path, payload: dict) -> Path:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return path
@@ -289,40 +295,30 @@ def _threads(count: int) -> int:
 
 
 def _lambda_tag(lam: float) -> str:
-    return ("%g" % lam).replace("-", "m")
+    """%g of lam where it reads back as lam, else repr(lam); "-" becomes "m".
+
+    Either form reads back as lam, so two distinct values never share a tag.
+    """
+    tag = "%g" % lam
+    if float(tag) != lam:
+        tag = repr(lam)
+    return tag.replace("-", "m")
 
 
-def _check_lambda_tags(sweep: list[float]) -> None:
-    """Raise ConfigError when two lambda values would name the same files."""
-    seen = {}
-    for lam in sweep:
-        tag = _lambda_tag(lam)
-        if tag in seen:
-            raise ConfigError(
-                f"config.sweep: lambda values {seen[tag]!r} and {lam!r} both name "
-                f"their output files with the tag {tag!r}"
-            )
-        seen[tag] = lam
-
-
-def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish, tagged: bool = False):
+def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
     """Output directory, and finish(out, params, grid, series) per lambda in sweep order.
 
     Chain, probe and sweep are parsed once, and per lambda the mode table
     built and the time grid resolved by auto_time_grid (the config's
     explicit grid, checked against the band estimate, or the auto grid),
-    before the output directory is made or the pool starts: a grid error
-    at any lambda writes nothing, and neither do two lambda values with
-    one _lambda_tag when tagged (each lambda writes files named by its
-    tag).  Each worker then computes the correlation series of its lambda
-    and hands it to finish, which writes what it needs and returns what the
-    caller keeps, so a series is dropped as soon as its own lambda is done.
+    before the pool starts: a grid error at any lambda writes nothing.  Each
+    worker then computes the correlation series of its lambda and hands it
+    to finish, which writes what it needs and returns what the caller
+    keeps, so a series is dropped as soon as its own lambda is done.
     """
     chain = parse_chain(cfg)
     state = parse_probe(cfg)
     sweep = parse_sweep(cfg, chain)
-    if tagged:
-        _check_lambda_tags(sweep)
     explicit = parse_time_grid(cfg)
     runs = []
     for lam in sweep:
@@ -428,7 +424,7 @@ def cmd_correlation(cfg: dict, out_flag: str | None, threads: int):
         }
         return [_write_csv(path, _header_lines(cfg, grid), columns)]
 
-    _, written = _run_sweep(cfg, out_flag, threads, finish, tagged=True)
+    _, written = _run_sweep(cfg, out_flag, threads, finish)
     for paths in written:
         yield from paths
 
@@ -448,7 +444,7 @@ def cmd_spectrum(cfg: dict, out_flag: str | None, threads: int):
             _write_metrics(out / f"metrics_lambda_{tag}.json", cfg, metrics=metrics),
         ]
 
-    _, written = _run_sweep(cfg, out_flag, threads, finish, tagged=True)
+    _, written = _run_sweep(cfg, out_flag, threads, finish)
     for paths in written:
         yield from paths
 

@@ -262,7 +262,7 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
     frequencies = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(m, d=dt))
     raw = np.fft.fftshift(raw)
 
-    peak = float(np.max(np.abs(raw.real))) if m else 0.0
+    peak = float(np.max(np.abs(raw.real)))
     residual = float(np.max(np.abs(raw.imag)) / peak) if peak != 0.0 else 0.0
     if not residual <= _IMAG_RESIDUAL_LIMIT:  # NaN fails too
         raise NumericsError(
@@ -442,10 +442,11 @@ def threshold_crossing_time(
         return math.inf
     i = int(below[0])  # > 0: the ratio starts at 1
     lo, hi = float(ts[i - 1]), float(ts[i])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # until lo and hi are neighbouring floats
         if float(ratio(np.array([mid]))[0]) < _CROSSING_THRESHOLD:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

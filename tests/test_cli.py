@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from isingspec import NumericsError
 from isingspec.chain import build_mode_table
-from isingspec.cli import _CSV_CHUNK, _write_csv, main, parse_chain, parse_probe
+from isingspec.cli import _CSV_CHUNK, _lambda_tag, _write_csv, main, parse_chain, parse_probe
 from isingspec.spectrum import CorrelationSeries, auto_time_grid
 
 
@@ -316,6 +316,17 @@ class TestCliProperties:
                 assert outputs[0] == outputs[1]
 
 
+class TestLambdaTag:
+    @given(lam=st.floats(min_value=0.0, allow_infinity=False), other=st.floats(0.0, 1e300))
+    def test_distinct_values_get_distinct_tags(self, lam, other):
+        tag = _lambda_tag(lam)
+        assert float(tag.replace("m", "-")) == lam
+        if float("%g" % lam) == lam:
+            assert tag == ("%g" % lam).replace("-", "m")
+        assert _lambda_tag(math.nextafter(lam, math.inf)) != tag
+        assert (_lambda_tag(other) == tag) == (other == lam)
+
+
 class TestLinesCommand:
     def test_weights_sum_to_one(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -331,6 +342,7 @@ class TestLinesCommand:
         write_config(cfg_path, chain={"n_sites": 64, "lambda": 1.0, "g_over_b": 0.1, "gamma_over_b": 0.02})
         result = runner.invoke(main, ["lines", "--config", str(cfg_path)])
         assert result.exit_code == 3
+        assert not (tmp_path / "out").exists()
 
 
 class TestOracleCheckCommand:
@@ -526,7 +538,7 @@ class TestConfigValidation:
         result = runner.invoke(main, args)
         assert result.exit_code == 5, result.output
         assert "lambda=0.5 on t_max=5e+307" in result.output
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_explicit_grid_checked_against_unpadded_band(self, runner, tmp_path):
         # Nyquist 50.19 clears the unpadded estimate 25.36 but not the auto
@@ -551,17 +563,40 @@ class TestConfigValidation:
         assert "n_sites=2000" in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["correlation", "spectrum"])
-    def test_colliding_lambda_tags_are_config_error(self, runner, tmp_path, command):
-        # %g keeps 6 significant digits: both values would write the "_1" files
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("correlation", ["correlation_lambda_{}.csv"]),
+            ("spectrum", ["spectrum_lambda_{}.csv", "metrics_lambda_{}.json"]),
+        ],
+        ids=["correlation", "spectrum"],
+    )
+    def test_lambdas_equal_to_six_digits_get_their_own_files(
+        self, runner, tmp_path, command, names
+    ):
+        # %g keeps 6 significant digits, so both values take their repr as tag
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sweep=[1.0000001, 1.0000002])
         args = [command, "--config", str(cfg_path), "--threads", "2"]
         result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert "1.0000001" in result.output and "1.0000002" in result.output
-        assert not (tmp_path / "out").exists()
-        assert runner.invoke(main, ["sweep", "--config", str(cfg_path)]).exit_code == 0
+        assert result.exit_code == 0, result.output
+        tags = ("1.0000001", "1.0000002")
+        expected = {name.format(tag) for tag in tags for name in names}
+        assert {p.name for p in (tmp_path / "out").iterdir()} == expected
+
+    @pytest.mark.parametrize(
+        "args",
+        [["lines"], ["sweep", "--threads", "2"], ["correlation", "--threads", "2"]],
+        ids=["lines", "sweep", "correlation"],
+    )
+    def test_out_below_a_file_is_config_error(self, runner, tmp_path, args):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sweep=[0.5, 2.0])
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        result = runner.invoke(main, [*args, "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"cannot create output directory {out}" in result.output
 
     @pytest.mark.parametrize("output", [5, ["a"]])
     def test_non_string_output_is_config_error(self, runner, tmp_path, output):

@@ -26,6 +26,7 @@ from isingspec import (
     threshold_crossing_time,
     weighted_echo,
 )
+from isingspec.spectrum import _populated_branches
 
 
 def params_for(n_sites=8, lam=1.0, g_over_b=0.1, gamma_over_b=0.02):
@@ -364,6 +365,23 @@ class TestThresholdCrossing:
         table = build_mode_table(p, n_max=1)
         t = threshold_crossing_time(p, table, fock_superposition([1, 1]))
         assert t == pytest.approx(math.log(10.0) / gamma, rel=1e-3)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_crossing_is_bisected_to_neighbouring_floats(self, lam):
+        p = params_for(lam=lam)
+        state = fock_superposition([1, 1])
+        table = build_mode_table(p, n_max=1)
+        t = threshold_crossing_time(p, table, state)
+        s0 = float(sum(_populated_branches(table, state).values()))
+
+        def below(time):  # the ratio exactly as threshold_crossing_time forms it
+            ts = np.array([time])
+            ratio = np.abs(weighted_echo(table, state, ts)) * np.exp(-p.gamma_over_b * ts) / s0
+            return bool(ratio[0] < 0.1)
+
+        side = below(t)
+        neighbour = math.nextafter(t, -math.inf if side else math.inf)
+        assert below(neighbour) != side
 
     def test_never_crossing_returns_inf(self):
         # no coupling and no envelope: the ratio stays 1 out to the 2000 horizon
