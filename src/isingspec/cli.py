@@ -291,7 +291,12 @@ def _write_metrics(path: Path, cfg: dict, **fields) -> Path:
 
 
 def _threads(count: int) -> int:
-    return count if count > 0 else (os.cpu_count() or 1)
+    """count, or for 0 the CPUs this process may run on."""
+    if count > 0:
+        return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _lambda_tag(lam: float) -> str:
@@ -386,7 +391,11 @@ def _command(name: str, sweep: bool = False):
         if sweep:
             params.append(
                 click.Option(
-                    ["--threads"], default=0, show_default=True, help="sweep workers (0 = auto)"
+                    ["--threads"],
+                    type=click.IntRange(min=0),
+                    default=0,
+                    show_default=True,
+                    help="sweep workers (0 = auto)",
                 )
             )
         return main.command(name, params=params, help=body.__doc__)(command)

@@ -229,8 +229,11 @@ def correlation_series(
     TimeGrid(t_max=t_max, n_samples=n_samples)  # validates the grid
     dt = 2.0 * t_max / n_samples
     half = np.arange(n_samples // 2 + 1) * dt  # 0 .. t_max inclusive
-    positive = weighted_echo(table, state, half)
-    positive *= np.exp(-params.gamma_over_b * half)
+    # phases omega * t past the float range overflow to inf and then NaN;
+    # the finiteness check below reports that as one NumericsError
+    with np.errstate(over="ignore", invalid="ignore"):
+        positive = weighted_echo(table, state, half)
+        positive *= np.exp(-params.gamma_over_b * half)
     if not np.isfinite(positive).all():
         raise NumericsError(f"S(t) is not finite at lambda={params.lam:g} on t_max={t_max:g}")
 
@@ -362,14 +365,99 @@ def _l2_norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.sum(x * x)))
 
 
+def _bounded_minimum(
+    f, lo: float, hi: float, xatol: float, maxfun: int = 500
+) -> tuple[float, float]:
+    """(x, f(x)) at Brent's bounded minimum of f on [lo, hi].
+
+    A float-for-float port of scipy.optimize.minimize_scalar(method="bounded")
+    (Brent, Algorithms for Minimization Without Derivatives, 1973; Forsythe,
+    Malcolm & Moler's fmin): the same operations in the same order, so it
+    returns the same floats.  It stops when the bracket about the best point
+    has shrunk to about xatol, or after maxfun evaluations of f.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 if xm >= xf else -tol1  # scipy's sign, +1 at 0
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step  # scipy's sign, +1 at 0
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def fitted_peak(spec: Spectrum, gamma: float, total_weight: float) -> tuple[float, float]:
     """Best-fit center of total_weight * L(omega - s) and its relative L2 error."""
-    # scipy.optimize takes most of the package's import time and only this
-    # fit uses it, so it loads on the first call
-    from scipy.optimize import minimize_scalar
-
+    if not 0.0 < gamma < math.inf:
+        raise DegenerateInputError(f"fit needs a finite line width gamma > 0, got {gamma!r}")
+    if not 0.0 < total_weight < math.inf:
+        raise DegenerateInputError(
+            f"fit needs a finite total line weight > 0, got {total_weight!r}"
+        )
     values = spec.values
     frequencies = spec.frequencies
+    if frequencies.size < 2:
+        raise DegenerateInputError("fit needs a spectrum of two or more frequencies")
     start = float(frequencies[int(np.argmax(np.abs(values)))])
     span = max(10.0 * gamma, 2.0 * float(frequencies[1] - frequencies[0]))
 
@@ -377,13 +465,9 @@ def fitted_peak(spec: Spectrum, gamma: float, total_weight: float) -> tuple[floa
         model = total_weight * lorentzian(frequencies, shift, gamma)
         return _l2_norm(values - model) / _l2_norm(model)
 
-    result = minimize_scalar(
-        mismatch,
-        bounds=(start - span, start + span),
-        method="bounded",
-        options={"xatol": 1e-9 * max(1.0, abs(start))},
+    return _bounded_minimum(
+        mismatch, start - span, start + span, xatol=1e-9 * max(1.0, abs(start))
     )
-    return float(result.x), float(result.fun)
 
 
 def far_field_check(
@@ -403,8 +487,6 @@ def far_field_check(
         correlation_series(params, table, state, grid.t_max, grid.n_samples)
     )
     total = mean_photon_number(state)
-    if total <= 0.0:
-        raise DegenerateInputError("probe state carries no photon-number weight")
     shift, deviation = fitted_peak(spectrum, params.gamma_over_b, total)
     return FarFieldReport(deviation=deviation, shift=shift, total_weight=total)
 

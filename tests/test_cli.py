@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,10 +13,28 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isingspec
 from isingspec import NumericsError
 from isingspec.chain import build_mode_table
-from isingspec.cli import _CSV_CHUNK, _lambda_tag, _write_csv, main, parse_chain, parse_probe
+from isingspec.cli import (
+    _CSV_CHUNK,
+    _lambda_tag,
+    _threads,
+    _write_csv,
+    main,
+    parse_chain,
+    parse_probe,
+)
 from isingspec.spectrum import CorrelationSeries, auto_time_grid
+
+SRC = str(Path(isingspec.__file__).resolve().parent.parent)
+
+# the step is finite, but the phases omega * t overflow to inf and S(t) to NaN
+NON_FINITE_ECHO = {
+    "chain": {"n_sites": 8, "lambda": 1.0, "g_over_b": 0.0, "gamma_over_b": 0.02},
+    "time_grid": {"t_max": 5e307, "n_samples": 1024},
+    "sweep": [0.5, 1.0],
+}
 
 
 @pytest.fixture
@@ -523,22 +544,51 @@ class TestConfigValidation:
         assert "t_max=1e+308" in result.output
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["correlation", "spectrum", "sweep"])
     def test_non_finite_echo_is_numerics_error(self, runner, tmp_path, command):
-        # the step is finite, but the phases omega * t overflow to inf and S(t) to NaN
         cfg_path = tmp_path / "cfg.json"
-        write_config(
-            cfg_path,
-            chain={"n_sites": 8, "lambda": 1.0, "g_over_b": 0.0, "gamma_over_b": 0.02},
-            time_grid={"t_max": 5e307, "n_samples": 1024},
-            sweep=[0.5, 1.0],
-        )
+        write_config(cfg_path, **NON_FINITE_ECHO)
         args = [command, "--config", str(cfg_path), "--threads", "1"]
         result = runner.invoke(main, args)
         assert result.exit_code == 5, result.output
         assert "lambda=0.5 on t_max=5e+307" in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_non_finite_echo_prints_one_error_line(self, tmp_path):
+        # a fresh interpreter shows numpy's RuntimeWarnings on stderr, which
+        # CliRunner and pytest would capture
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, **NON_FINITE_ECHO)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH", "")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from isingspec.cli import main; main()",
+             "sweep", "--config", str(cfg_path), "--threads", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr == (
+            "error: S(t) is not finite at lambda=0.5 on t_max=5e+307\n"
+        )
+
+    @pytest.mark.parametrize("command", ["correlation", "spectrum", "sweep"])
+    def test_negative_threads_is_usage_error(self, runner, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sweep=[0.5])
+        result = runner.invoke(main, [command, "--config", str(cfg_path), "--threads", "-3"])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_auto_threads_count_the_usable_cpus(self, monkeypatch):
+        assert _threads(5) == 5
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert _threads(0) == 1
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert _threads(0) == 7
 
     def test_explicit_grid_checked_against_unpadded_band(self, runner, tmp_path):
         # Nyquist 50.19 clears the unpadded estimate 25.36 but not the auto

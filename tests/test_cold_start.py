@@ -1,7 +1,7 @@
-"""scipy loads only for the far-field fit.
+"""No import, library call or CLI command of the package loads scipy.
 
-Every check runs in a fresh interpreter, because the test session itself may
-already have imported scipy.
+Every check runs in a fresh interpreter, because the test session itself
+imports scipy: the bounded-minimum tests compare against it.
 """
 
 import json
@@ -35,10 +35,17 @@ cfg = {{
     "time_grid": {{"t_max": 200.0, "n_samples": 4096}},
     "sweep": [0.5, 2.0],
     "oracle": {{"n_sites_list": [2, 4], "lambdas": [0.5, 1.0], "g_over_bs": [0.1]}},
+    "physical": {{
+        "e_j": 13.0, "c_sigma": 600.0, "c_m": 30.0, "tlr_length": 1.0, "squid_area": 10.0,
+        "distance": 1.0, "inductance_per_length": 4e-7, "omega": 120.0, "flux_bias": 0.42,
+    }},
+    "n_sites": 8,
 }}
 config = tmp / "cfg.json"
 config.write_text(json.dumps(cfg))
-for command in ("sweep", "spectrum", "oracle-check"):
+commands = ("dispersion", "correlation", "spectrum", "sweep", "lines", "oracle-check", "params")
+assert set(commands) == set(main.commands)
+for command in commands:
     out = tmp / command
     main(args=[command, "--config", str(config), "--out", str(out)], standalone_mode=False)
     assert any(out.iterdir()), command
@@ -75,13 +82,13 @@ def run_fresh(script: str, *args: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-class TestScipyLoadsOnlyForTheFit:
+class TestScipyStaysUnloaded:
     def test_import_and_cli_commands_leave_scipy_unloaded(self, tmp_path):
         assert run_fresh(CLI_RUNS, str(tmp_path)) == []
 
-    def test_far_field_fit_loads_scipy(self):
+    def test_far_field_fit_leaves_scipy_unloaded(self):
         result = run_fresh(FAR_FIELD)
         assert result["before"] == []
-        assert "scipy.optimize" in result["after"]
+        assert result["after"] == []
         assert result["total_weight"] == pytest.approx(0.5, abs=1e-12)
         assert 0.0 <= result["deviation"] < 0.05

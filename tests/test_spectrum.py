@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from isingspec import (
     CapacityError,
@@ -18,6 +19,7 @@ from isingspec import (
     correlation_series,
     decoherence_factor,
     far_field_check,
+    fitted_peak,
     fock_superposition,
     lorentzian,
     mean_photon_number,
@@ -26,7 +28,7 @@ from isingspec import (
     threshold_crossing_time,
     weighted_echo,
 )
-from isingspec.spectrum import _populated_branches
+from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
 def params_for(n_sites=8, lam=1.0, g_over_b=0.1, gamma_over_b=0.02):
@@ -308,6 +310,112 @@ class TestFarField:
         table = build_mode_table(p, n_max=1)
         report = far_field_check(p, table, fock_superposition([1, 1]))
         assert report.deviation > 0.5  # reported magnitude, pinned loosely
+
+    def test_fit_equals_the_scipy_fit_bitwise(self):
+        p = params_for(n_sites=16, lam=5.0, g_over_b=0.05, gamma_over_b=0.05)
+        _, _, spec = pipeline(p, fock_superposition([1, 1]))
+        gamma, weight = p.gamma_over_b, 0.5
+        start = float(spec.frequencies[int(np.argmax(np.abs(spec.values)))])
+        span = max(10.0 * gamma, 2.0 * float(spec.frequencies[1] - spec.frequencies[0]))
+
+        def mismatch(shift):
+            model = weight * lorentzian(spec.frequencies, shift, gamma)
+            return _l2_norm(spec.values - model) / _l2_norm(model)
+
+        ref = minimize_scalar(
+            mismatch,
+            bounds=(start - span, start + span),
+            method="bounded",
+            options={"xatol": 1e-9 * max(1.0, abs(start))},
+        )
+        shift, deviation = fitted_peak(spec, gamma, weight)
+        assert (shift.hex(), deviation.hex()) == (float(ref.x).hex(), float(ref.fun).hex())
+
+    @pytest.mark.parametrize(
+        "gamma, weight, n_freq, message",
+        [
+            (0.0, 0.5, 64, "gamma > 0, got 0.0"),
+            (-0.1, 0.5, 64, "gamma > 0, got -0.1"),
+            (math.nan, 0.5, 64, "gamma > 0, got nan"),
+            (math.inf, 0.5, 64, "gamma > 0, got inf"),
+            (0.1, 0.0, 64, "weight > 0, got 0.0"),
+            (0.1, -1.0, 64, "weight > 0, got -1.0"),
+            (0.1, math.nan, 64, "weight > 0, got nan"),
+            (0.1, 0.5, 1, "two or more frequencies"),
+        ],
+    )
+    def test_fit_rejects_degenerate_input(self, gamma, weight, n_freq, message):
+        # each used to fail badly on this spectrum: ZeroDivisionError for gamma
+        # or weight 0, silent fits for gamma -0.1 and weight -1 (deviations 1.93
+        # and 1.14), a NaN deviation for a NaN weight, scipy's ValueError for a
+        # non-finite gamma, an IndexError for one frequency
+        frequencies = np.linspace(-1.0, 1.0, n_freq)
+        spec = Spectrum(frequencies=frequencies, values=0.5 * lorentzian(frequencies, 0.0, 0.1))
+        with pytest.raises(DegenerateInputError, match=message):
+            fitted_peak(spec, gamma, weight)
+
+
+def scipy_bounded(f, lo, hi, xatol, maxfun=500):
+    """The reference _bounded_minimum ports: scipy's method="bounded"."""
+    res = minimize_scalar(
+        f, bounds=(lo, hi), method="bounded", options={"xatol": xatol, "maxiter": maxfun}
+    )
+    return float(res.x), float(res.fun), int(res.nfev)
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+class TestBoundedMinimum:
+    # f(x, lo, hi, c, width): interior minima, a minimum at a bound, a flat
+    # function, a kink and a narrow well, on intervals of width 1e-3 to 1e2;
+    # the staircase and the midpoint quadratic reach the ties (equal values,
+    # a zero step, the best point at the bracket's midpoint) where scipy's
+    # sign conventions decide
+    SHAPES = {
+        "interior": lambda x, lo, hi, c, w: (x - c) ** 2 + 0.1 * math.cos(3.0 * x),
+        "at_bound": lambda x, lo, hi, c, w: (x - (hi + w)) ** 2,
+        "monotone": lambda x, lo, hi, c, w: -x,
+        "flat": lambda x, lo, hi, c, w: 1.0,
+        "kink": lambda x, lo, hi, c, w: abs(x - c),
+        "narrow_well": lambda x, lo, hi, c, w: -math.exp(-(((x - c) / (1e-3 * w)) ** 2)),
+        "staircase": lambda x, lo, hi, c, w: abs(math.floor(8.0 * (x - c) / w)),
+        "midpoint_quadratic": lambda x, lo, hi, c, w: (x - 0.5 * (lo + hi)) ** 2,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_equals_scipy_bitwise(self, shape):
+        rng = np.random.default_rng(sorted(self.SHAPES).index(shape))
+        fn = self.SHAPES[shape]
+        for _ in range(100):
+            lo = float(rng.uniform(-10.0, 10.0))
+            width = float(10.0 ** rng.uniform(-3.0, 2.0))
+            hi = lo + width
+            c = float(rng.uniform(lo, hi))
+            xatol = float(10.0 ** rng.uniform(-12.0, -3.0))
+
+            def f(x):
+                return fn(x, lo, hi, c, width)
+
+            x_ref, fx_ref, _ = scipy_bounded(f, lo, hi, xatol)
+            x, fx = _bounded_minimum(f, lo, hi, xatol)
+            assert bits(x, fx) == bits(x_ref, fx_ref), (lo, hi, c, xatol)
+            assert lo <= x <= hi
+
+    def test_stops_at_maxfun(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return abs(x - 0.123456789)
+
+        x_ref, fx_ref, nfev = scipy_bounded(f, -50.0, 50.0, 1e-12, maxfun=7)
+        assert nfev == 7
+        calls.clear()
+        x, fx = _bounded_minimum(f, -50.0, 50.0, 1e-12, maxfun=7)
+        assert len(calls) == 7
+        assert bits(x, fx) == bits(x_ref, fx_ref)
 
 
 class TestAutoTimeGrid:
