@@ -3,8 +3,8 @@
 One JSON config document drives every subcommand.  Files are written with a
 comment header carrying the resolved configuration and tool version, floats
 at 17 significant digits, so identical configs produce byte-identical
-output.  Exit codes: 0 success, 2 configuration error, 3 capacity error,
-4 oracle deviation, 5 numerics error.
+output.  Exit codes: 0 success, 2 configuration error, 3 capacity error or
+out of memory, 4 oracle deviation, 5 numerics error.
 """
 
 from __future__ import annotations
@@ -319,7 +319,9 @@ def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
     before the pool starts: a grid error at any lambda writes nothing.  Each
     worker then computes the correlation series of its lambda and hands it
     to finish, which writes what it needs and returns what the caller
-    keeps, so a series is dropped as soon as its own lambda is done.
+    keeps, so a series is dropped as soon as its own lambda is done.  A
+    MemoryError in a worker becomes a CapacityError naming its lambda and
+    grid size; files that other lambdas have written stay.
     """
     chain = parse_chain(cfg)
     state = parse_probe(cfg)
@@ -334,8 +336,14 @@ def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
 
     def job(run):
         params, table, grid = run
-        series = correlation_series(params, table, state, grid.t_max, grid.n_samples)
-        return finish(out, params, grid, series)
+        try:
+            series = correlation_series(params, table, state, grid.t_max, grid.n_samples)
+            return finish(out, params, grid, series)
+        except MemoryError:
+            raise CapacityError(
+                f"out of memory at lambda={params.lam:g} on a grid of "
+                f"{grid.n_samples} samples"
+            ) from None
 
     with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
         return out, list(pool.map(job, runs))
@@ -364,7 +372,8 @@ def _command(name: str, sweep: bool = False):
 
     The subcommand takes --config and --out, plus --threads when it runs a
     sweep.  It loads the config, echoes each path the body yields as it is
-    yielded, and turns package errors into exit codes.
+    yielded, and turns package errors, and running out of memory, into exit
+    codes.
     """
 
     def register(body):
@@ -374,6 +383,8 @@ def _command(name: str, sweep: bool = False):
                     click.echo(str(path))
             except CapacityError as exc:
                 _fail(EXIT_CAPACITY, str(exc))
+            except MemoryError:
+                _fail(EXIT_CAPACITY, f"out of memory in {name}")
             except NumericsError as exc:
                 _fail(EXIT_NUMERICS, str(exc))
             except IsingSpecError as exc:

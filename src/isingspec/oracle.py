@@ -1,10 +1,10 @@
 """Brute-force validators, deliberately dumber than what they check.
 
-Everything here works on dense matrices in the computational product basis:
-the full 2^N chain Hamiltonian, two-level single-mode problems, and the
-eigenvector-overlap form of the spectrum.  Nothing is shared with the
-free-fermion code paths beyond the parameter container, so agreement
-between the two is meaningful evidence.
+Everything here works on dense matrices in spin space: the 2^(N-1) block of
+the chain Hamiltonian that is even under the global spin flip, two-level
+single-mode problems, and the eigenvector-overlap form of the spectrum.
+Nothing is shared with the free-fermion code paths beyond the parameter
+container, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -29,10 +29,15 @@ _SUITE_TIMES = 50
 
 
 def build_dense(n_sites: int, lam: float) -> np.ndarray:
-    """Read-only 2^N x 2^N matrix of sum_a (lam sx_a + sz_a sz_{a+1}), periodic, B = 1.
+    """Read-only even block of sum_a (lam sx_a + sz_a sz_{a+1}), periodic, B = 1.
 
-    Assembled in the sigma_z product basis by bit arithmetic: the coupling
-    is diagonal, the field flips one bit per site.
+    The 2^(N-1) x 2^(N-1) block of states even under the global spin flip
+    prod_a sx_a, in the basis (|s> + |~s>)/sqrt(2) for each product state s
+    with its top bit clear (~s flips every bit).  Assembled by bit
+    arithmetic: the coupling is diagonal and the same on s and ~s, the field
+    flips one bit per site, and a flip that sets the top bit lands on the
+    complement s ^ (2^(N-1) - 1).  At N = 2 two flips reach the same state,
+    so the field term is accumulated.
     """
     if not isinstance(n_sites, int) or n_sites < 2:
         raise ParameterError(f"n_sites must be an integer >= 2, got {n_sites!r}")
@@ -40,7 +45,7 @@ def build_dense(n_sites: int, lam: float) -> np.ndarray:
         raise CapacityError(
             f"dense construction is capped at {MAX_DENSE_SITES} sites, got {n_sites}"
         )
-    dim = 1 << n_sites
+    dim = 1 << (n_sites - 1)
     states = np.arange(dim)
     coupling = np.zeros(dim)
     for a in range(n_sites):
@@ -50,8 +55,8 @@ def build_dense(n_sites: int, lam: float) -> np.ndarray:
         coupling += za * zb
     matrix = np.zeros((dim, dim))
     matrix[states, states] = coupling
-    for a in range(n_sites):
-        matrix[states, states ^ (1 << a)] += lam
+    flips = np.array([1 << a for a in range(n_sites - 1)] + [dim - 1])
+    np.add.at(matrix, (states, states ^ flips[:, None]), lam)
     matrix.setflags(write=False)
     return matrix
 
@@ -67,27 +72,10 @@ def _eigh(n_sites: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return energies, vectors
 
 
-def parity_apply(vec: np.ndarray, n_sites: int) -> np.ndarray:
-    """Apply the global spin-flip prod_a sx_a (fermion parity)."""
-    dim = 1 << n_sites
-    return vec[np.arange(dim) ^ (dim - 1)]
-
-
 def ground_state_even(n_sites: int, lam: float) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair restricted to positive parity under prod sx.
-
-    Near-degenerate doublets (the ordered phase at finite N) are resolved by
-    explicitly projecting onto the even component, which stays an
-    eigenvector because parity commutes with the Hamiltonian.
-    """
+    """Lowest eigenpair of the even block: the even-parity ground state."""
     energies, vectors = _eigh(n_sites, lam)
-    for i in range(len(energies)):
-        vec = vectors[:, i]
-        even = vec + parity_apply(vec, n_sites)
-        norm = np.linalg.norm(even)
-        if norm > 1e-6:
-            return float(energies[i]), even / norm
-    raise ParameterError("no even-parity eigenvector found")
+    return float(energies[0]), vectors[:, 0]
 
 
 def free_fermion_ground_energy(n_sites: int, lam: float) -> float:
@@ -109,7 +97,7 @@ def oracle_decoherence(n_sites: int, params: ChainParams, n_branch: int, t):
     """Echo <G| exp(i H_n t) exp(-i H_{n-1} t) |G> by spectral decomposition.
 
     |G> is the even-parity ground state of the uncoupled chain; both branch
-    propagators come from dense Hermitian eigendecompositions.
+    propagators come from dense eigendecompositions of the even block.
     """
     e_n, e_p, mixer = _branch_overlaps(n_sites, params, n_branch)
     scalar = np.isscalar(t) or np.ndim(t) == 0
@@ -153,11 +141,12 @@ def oracle_spectrum(
     """Spectrum from branch eigenvector overlaps, summed as Lorentzians.
 
     Each pair of eigenstates (i of H_n, i' of H_{n-1}) contributes weight
-    w = n |c_n|^2 <G|i><i'|G><i|i'> at center E_i - E_{i'}.  The uncoupled
-    ground state overlaps one momentum and parity sector, so nearly every w is
-    rounding noise: pairs with |w| <= 1e-14 sum|w| of their branch are skipped.
-    A Lorentzian peaks at 2|w|/Gamma, so skipping them moves the exact sum by
-    at most (2/Gamma) sum|w_dropped| at any frequency.
+    w = n |c_n|^2 <G|i><i'|G><i|i'> at center E_i - E_{i'}, for the even-block
+    eigenstates of build_dense.  The uncoupled ground state overlaps one
+    momentum sector of that block, so nearly every w is rounding noise of the
+    other momentum sectors: pairs with |w| <= 1e-14 sum|w| of their branch
+    are skipped.  A Lorentzian peaks at 2|w|/Gamma, so skipping them moves
+    the exact sum by at most (2/Gamma) sum|w_dropped| at any frequency.
     """
     if n_sites > MAX_SPECTRUM_SITES:
         raise CapacityError(

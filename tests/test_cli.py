@@ -233,6 +233,40 @@ class TestSpectrumCommand:
         assert "imaginary residue" in result.output
 
 
+class TestOutOfMemory:
+    def test_sweep_worker_is_capacity_error_and_keeps_written_files(
+        self, runner, tmp_path, monkeypatch
+    ):
+        real = isingspec.cli.correlation_series
+
+        def exhausted_at_one(params, table, state, t_max, n_samples):
+            if params.lam == 1.0:
+                raise MemoryError
+            return real(params, table, state, t_max, n_samples)
+
+        monkeypatch.setattr("isingspec.cli.correlation_series", exhausted_at_one)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sweep=[0.5, 1.0])
+        args = ["correlation", "--config", str(cfg_path), "--threads", "1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stderr == "error: out of memory at lambda=1 on a grid of 4096 samples\n"
+        assert (tmp_path / "out" / "correlation_lambda_0.5.csv").exists()
+        assert not (tmp_path / "out" / "correlation_lambda_1.csv").exists()
+
+    def test_oracle_check_is_capacity_error(self, runner, tmp_path, monkeypatch):
+        def exhausted(**kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("isingspec.cli.comparison_suite", exhausted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"output": str(tmp_path / "out")}))
+        result = runner.invoke(main, ["oracle-check", "--config", str(cfg_path)])
+        assert result.exit_code == 3
+        assert result.stderr == "error: out of memory in oracle-check\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_single_value_sweep_matches_spectrum_metrics(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -20,7 +20,7 @@ from isingspec import (
     spectrum_analytic,
     build_mode_table,
 )
-from isingspec.oracle import _eigh, parity_apply
+from isingspec.oracle import _eigh
 
 
 def params_for(n_sites, lam=1.0, g_over_b=0.1, gamma_over_b=0.02):
@@ -29,39 +29,57 @@ def params_for(n_sites, lam=1.0, g_over_b=0.1, gamma_over_b=0.02):
     )
 
 
+def full_hamiltonian(n_sites, lam):
+    """sum_a (lam sx_a + sz_a sz_{a+1}) on all 2^N states, from Kronecker products.
+
+    Bit a of a state's index is site a, so site N-1 is the leftmost factor.
+    """
+    paulis = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "z": np.diag([1.0, -1.0])}
+
+    def on_sites(ops):
+        out = np.ones((1, 1))
+        for site in reversed(range(n_sites)):
+            out = np.kron(out, paulis[ops[site]] if site in ops else np.eye(2))
+        return out
+
+    return sum(
+        lam * on_sites({a: "x"}) + on_sites({a: "z", (a + 1) % n_sites: "z"})
+        for a in range(n_sites)
+    )
+
+
+def even_basis(n_sites):
+    """Columns (|s> + |~s>)/sqrt(2) for each state s with its top bit clear."""
+    dim = 1 << n_sites
+    basis = np.zeros((dim, dim // 2))
+    for s in range(dim // 2):
+        basis[s, s] = basis[s ^ (dim - 1), s] = 1 / math.sqrt(2)
+    return basis
+
+
 class TestBuildDense:
     def test_two_sites_zero_field(self):
-        ham = build_dense(2, 0.0)
-        eigenvalues = np.sort(np.linalg.eigvalsh(ham))
-        np.testing.assert_allclose(eigenvalues, [-2.0, -2.0, 2.0, 2.0], atol=1e-12)
+        eigenvalues = np.linalg.eigvalsh(build_dense(2, 0.0))
+        np.testing.assert_allclose(eigenvalues, [-2.0, 2.0], atol=1e-12)
 
     def test_two_sites_general_field(self):
-        # 4x4 characteristic polynomial: even sector gives +-2 sqrt(1+lam^2),
-        # odd sector +-2 independent of lam
+        # the even sector of the 4x4 problem holds +-2 sqrt(1+lam^2); the two
+        # field flips of a two-site state reach the same state
         lam = 0.7
-        ham = build_dense(2, lam)
-        expected = np.sort(
-            [
-                -2.0 * math.sqrt(1 + lam**2),
-                2.0 * math.sqrt(1 + lam**2),
-                -2.0,
-                2.0,
-            ]
-        )
-        np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(ham)), expected, atol=1e-12
-        )
+        eigenvalues = np.linalg.eigvalsh(build_dense(2, lam))
+        root = 2.0 * math.sqrt(1 + lam**2)
+        np.testing.assert_allclose(eigenvalues, [-root, root], atol=1e-12)
+
+    def test_is_even_projection_of_full_hamiltonian(self):
+        for n_sites in (2, 4, 6):
+            basis = even_basis(n_sites)
+            for lam in (0.0, 0.7, 1.0):
+                expected = basis.T @ full_hamiltonian(n_sites, lam) @ basis
+                assert np.max(np.abs(build_dense(n_sites, lam) - expected)) < 1e-12
 
     def test_symmetric(self):
         ham = build_dense(6, 1.3)
         assert np.max(np.abs(ham - ham.T)) < 1e-12
-
-    def test_commutes_with_parity(self):
-        for lam in (0.0, 0.5, 1.0, 2.0):
-            h = build_dense(4, lam)
-            # parity conjugation permutes rows and columns by global bit flip
-            idx = np.arange(h.shape[0]) ^ (h.shape[0] - 1)
-            assert np.max(np.abs(h[np.ix_(idx, idx)] - h)) < 1e-12
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
@@ -77,27 +95,10 @@ class TestGroundState:
             free_fermion_ground_energy(n_sites, lam), abs=1e-9
         )
 
-    def test_ground_state_is_parity_even(self):
-        for lam in (0.2, 1.0, 3.0):
-            _, vec = ground_state_even(6, lam)
-            np.testing.assert_allclose(parity_apply(vec, 6), vec, atol=1e-9)
-
     def test_even_sector_contains_every_pair_combination(self):
-        # project the dense Hamiltonian onto the parity-even subspace and
-        # check every sum of +-eps_k over momentum pairs appears there
+        # every sum of +-eps_k over momentum pairs is an even-block eigenvalue
         n_sites, lam = 6, 0.8
-        ham = build_dense(n_sites, lam)
-        dim = ham.shape[0]
-        mask = dim - 1
-        basis = []
-        for s in range(dim):
-            partner = s ^ mask
-            if s < partner:
-                vec = np.zeros(dim)
-                vec[s] = vec[partner] = 1 / math.sqrt(2)
-                basis.append(vec)
-        basis = np.array(basis).T
-        even_spectrum = np.sort(np.linalg.eigvalsh(basis.T @ ham @ basis))
+        even_spectrum = np.linalg.eigvalsh(build_dense(n_sites, lam))
         eps = dispersion(momentum_grid(n_sites), lam)
         for signs in range(1 << (n_sites // 2)):
             combo = sum(
@@ -159,7 +160,8 @@ class TestOracleSpectrum:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("probe", ["fock", "coherent"])
     def test_skipped_lines_match_all_pairs_sum(self, n_sites, lam, probe):
-        # every eigenpair line of every branch, summed with no threshold
+        # every even-block eigenpair line of every branch, summed with no
+        # threshold; odd-sector pairs carry zero weight by symmetry
         p = params_for(n_sites, lam=lam)
         state = fock_superposition([1, 1]) if probe == "fock" else coherent_state(1.0)
         gamma = p.gamma_over_b
@@ -196,6 +198,8 @@ class TestEigensolveReuse:
         _eigh.cache_clear()
         comparison_suite(n_sites_list=(4,), lams=(1.0,))
         assert len(calls) == 7
+        # only the 2^(N-1) even block is decomposed
+        assert set(calls) == {(8, 8)}
 
     def test_cached_eigenpairs_are_read_only(self):
         energies, vectors = _eigh(4, 0.7)

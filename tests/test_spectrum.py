@@ -18,6 +18,7 @@ from isingspec import (
     coherent_state,
     correlation_series,
     decoherence_factor,
+    enumerate_lines,
     far_field_check,
     fitted_peak,
     fock_superposition,
@@ -191,6 +192,39 @@ class TestSpectrumFFT:
             deviation = np.linalg.norm(spec.values - analytic.values)
             deviation /= np.linalg.norm(analytic.values)
             assert deviation < 0.01
+
+    @pytest.mark.parametrize("n_sites", [4, 8])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("probe", ["fock", "coherent"])
+    def test_matches_discrete_line_kernel(self, n_sites, lam, probe):
+        # The transform of one sampled, truncated line has a closed form: a
+        # line of weight w at center c gives w K(omega) with
+        # K = dt Re[2 (1 - z^P) / (1 - z) - 1 + z^P], where P = M/2,
+        # z = exp(-Gamma dt + i (c - omega) dt) and z^P is formed directly,
+        # not as a power; the -t_max sample is counted once and real.  Summed
+        # over the enumerated lines it predicts spectrum_fft exactly, unlike
+        # the continuous Lorentzian sum, which differs from it by the
+        # truncation leakage exp(-Gamma t_max).
+        p = params_for(n_sites=n_sites, lam=lam)
+        state = fock_superposition([1, 1]) if probe == "fock" else coherent_state(1.0)
+        table, series, spec = pipeline(p, state)
+        t_max, gamma = series.t_max, p.gamma_over_b
+        dt = 2.0 * t_max / series.n_samples
+        omega = spec.frequencies
+        # exp(i (c - omega) t) is formed as exp(i c t) exp(-i omega t)
+        step = np.exp(-1j * omega * dt)
+        half = np.exp(-1j * omega * t_max)
+        expected = np.zeros(omega.shape)
+        for n, weight in _populated_branches(table, state).items():
+            lines = enumerate_lines(table, n, weight_floor=0.0)
+            for start in range(0, lines.centers.size, 64):
+                centers = lines.centers[start : start + 64, None]
+                z = math.exp(-gamma * dt) * np.exp(1j * centers * dt) * step
+                z_half = math.exp(-gamma * t_max) * np.exp(1j * centers * t_max) * half
+                kernel = dt * (2.0 * (1.0 - z_half) / (1.0 - z) - 1.0 + z_half).real
+                expected += weight * (lines.weights[start : start + 64] @ kernel)
+        deviation = np.linalg.norm(spec.values - expected) / np.linalg.norm(expected)
+        assert deviation <= 1e-12
 
     def test_probe_phase_invariance(self):
         p = params_for(lam=0.9)
