@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -37,6 +36,7 @@ from .probe import ProbeState, coherent_state, fock_superposition
 from .spectrum import (
     TimeGrid,
     _populated_branches,
+    _threads,
     auto_time_grid,
     broadening_metrics,
     correlation_series,
@@ -290,15 +290,6 @@ def _write_metrics(path: Path, cfg: dict, **fields) -> Path:
     )
 
 
-def _threads(count: int) -> int:
-    """count, or for 0 the CPUs this process may run on."""
-    if count > 0:
-        return count
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _lambda_tag(lam: float) -> str:
     """%g of lam where it reads back as lam, else repr(lam); "-" becomes "m".
 
@@ -319,7 +310,10 @@ def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
     before the pool starts: a grid error at any lambda writes nothing.  Each
     worker then computes the correlation series of its lambda and hands it
     to finish, which writes what it needs and returns what the caller
-    keeps, so a series is dropped as soon as its own lambda is done.  A
+    keeps, so a series is dropped as soon as its own lambda is done.  The
+    thread budget (0: the CPUs this process may use) runs
+    min(budget, lambdas) lambdas at a time and gives each
+    max(1, budget // lambdas) threads for its populated branches.  A
     MemoryError in a worker becomes a CapacityError naming its lambda and
     grid size; files that other lambdas have written stay.
     """
@@ -333,11 +327,15 @@ def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
         table = build_mode_table(params, n_max=max(state.n_max, 1))
         runs.append((params, table, auto_time_grid(params, table, state, explicit)))
     out = _out_dir(cfg, out_flag)
+    budget = _threads(threads)
+    branch_threads = max(1, budget // len(runs))
 
     def job(run):
         params, table, grid = run
         try:
-            series = correlation_series(params, table, state, grid.t_max, grid.n_samples)
+            series = correlation_series(
+                params, table, state, grid.t_max, grid.n_samples, branch_threads
+            )
             return finish(out, params, grid, series)
         except MemoryError:
             raise CapacityError(
@@ -345,7 +343,7 @@ def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
                 f"{grid.n_samples} samples"
             ) from None
 
-    with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=min(budget, len(runs))) as pool:
         return out, list(pool.map(job, runs))
 
 
@@ -406,7 +404,7 @@ def _command(name: str, sweep: bool = False):
                     type=click.IntRange(min=0),
                     default=0,
                     show_default=True,
-                    help="sweep workers (0 = auto)",
+                    help="threads, for lambdas first, then populated branches (0 = auto)",
                 )
             )
         return main.command(name, params=params, help=body.__doc__)(command)

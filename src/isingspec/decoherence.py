@@ -16,6 +16,7 @@ exact-diagonalization echo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -105,7 +106,78 @@ def _branch_pair(table: ModeTable, n: int):
     return coeffs, table.epsilon[n], table.epsilon[n - 1]
 
 
-def decoherence_factor(table: ModeTable, n: int, t):
+@dataclass(frozen=True)
+class GridPlan:
+    """What decoherence_factor decides about a time grid once, for every branch.
+
+    samples is t as a flat float array and shape the shape of t, () for a
+    scalar.  A 1-D t of at least 2048 samples carries its block split:
+    split_miss is max |delta_j| over the grid, fine the column offsets
+    t_b - t_0, and chunks one (first row, coarse row times t_aB, their
+    Veltkamp split, delta) per chunk of chunk_rows rows.  Any other t has
+    no chunks and an infinite split_miss, so every branch takes mode_factor.
+    """
+
+    samples: np.ndarray
+    shape: tuple[int, ...]
+    split_miss: float = math.inf
+    fine: np.ndarray | None = None
+    chunks: tuple = ()
+    chunk_rows: int = 0
+
+    def takes_block(self, table: ModeTable, n: int) -> bool:
+        """Branch pair (n, n-1) takes the block product on this grid.
+
+        The split must miss every sample by a phase under 1e-9 at the
+        largest tone; energies are non-negative, so the sum tone bounds both.
+        """
+        omega = float(np.max(table.epsilon[n] + table.epsilon[n - 1]))
+        return self.split_miss * omega < _SPLIT_TOLERANCE
+
+    def workspace(self):
+        """Buffers of one block-product call: output, z1, z2, shift, w1, w2.
+
+        Allocate one per thread that runs branches, on the thread that
+        sums them: decoherence_factor writes its result into the output
+        buffer and returns a view of it, valid until the next call that is
+        given this workspace.
+        """
+        rows = -(-self.samples.size // _BLOCK)
+        chunk = (self.chunk_rows, _BLOCK)
+        return (
+            np.empty((rows, _BLOCK), dtype=complex),
+            np.empty(chunk, dtype=complex),
+            np.empty(chunk, dtype=complex),
+            np.empty(chunk, dtype=complex),  # 1 + i w delta
+            np.empty((_BLOCK, 2)),  # (cs, ds) per column, matching z1.view(float)
+            np.empty((_BLOCK, 2)),  # (cq, dq)
+        )
+
+
+def grid_plan(t) -> GridPlan:
+    """The routing and block split of time grid t, shared by every branch pair.
+
+    The split of a 1-D t of at least 2048 samples is computed in chunks of
+    about 2^15 samples (a short tail joins the last chunk) and kept.
+    """
+    shape = np.shape(t)
+    samples = np.asarray(t, dtype=float).reshape(-1)
+    if len(shape) != 1 or samples.size < _BLOCK_MIN:
+        return GridPlan(samples, shape)
+    rows = -(-samples.size // _BLOCK)
+    chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
+    chunks = []
+    for start in range(0, rows, chunk_rows):
+        coarse = samples[start * _BLOCK : (start + chunk_rows) * _BLOCK : _BLOCK]
+        delta = _split_error(samples, start, coarse.size)
+        chunks.append((start, coarse, _veltkamp_split(coarse), delta))
+    # np.max, not max(): a NaN miss anywhere must route every branch off the split
+    split_miss = float(np.max([np.max(np.abs(chunk[3])) for chunk in chunks]))
+    fine = samples[:_BLOCK] - samples[0]
+    return GridPlan(samples, shape, split_miss, fine, tuple(chunks), chunk_rows)
+
+
+def decoherence_factor(table: ModeTable, n: int, t, plan=None, workspace=None):
     """Echo between branches n and n-1 at time(s) t, product over momenta.
 
     The per-momentum factors are multiplied in ascending-k order regardless
@@ -116,28 +188,31 @@ def decoherence_factor(table: ModeTable, n: int, t):
     rounding; any other t (short, multi-dimensional, scalar or irregular)
     takes mode_factor itself, broadcast over modes and time chunks.
     Magnitudes below 1e-300 are flushed to exactly zero.
+
+    plan is grid_plan(t), for callers that evaluate several branches on one
+    grid; it is built here when not given, and a plan made from other times
+    raises ParameterError.  workspace, from plan.workspace(),
+    holds the block product's buffers: the result is then written into it
+    and returned as a view (see GridPlan.workspace).  Neither changes a bit
+    of the result.
     """
     coeffs, eps_n, eps_p = _branch_pair(table, n)
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    tones = (eps_n + eps_p, eps_n - eps_p)
-    # energies are non-negative, so the sum tone bounds both
-    if _near_uniform(tarr, float(np.max(tones[0]))):
-        out = _block_product(_channel_sums(coeffs), tones, tarr)
+    if plan is None:
+        plan = grid_plan(t)
+    elif plan.shape != np.shape(t) or not (
+        np.array_equal(plan.samples, np.ravel(t))
+        # equal_nan copies both arrays: only for a t that fails the plain test
+        or np.array_equal(plan.samples, np.ravel(t), equal_nan=True)
+    ):
+        raise ParameterError("grid plan given for another t than it was made from")
+    if plan.takes_block(table, n):
+        weights = _channel_sums(coeffs)
+        tones = (eps_n + eps_p, eps_n - eps_p)
+        out = _block_product(weights, tones, plan, workspace or plan.workspace())
     else:
-        out = _mode_product(coeffs, eps_n, eps_p, tarr.reshape(-1))
-    out = out.reshape(tarr.shape)
+        out = _mode_product(coeffs, eps_n, eps_p, plan.samples)
     out[np.abs(out) < UNDERFLOW_CLAMP] = 0.0
-    return out[0] if scalar else out
-
-
-def _near_uniform(t: np.ndarray, omega: float) -> bool:
-    """t is 1-D with >= _BLOCK_MIN samples and a split that misses by < 1e-9 / omega."""
-    if t.ndim != 1 or t.size < _BLOCK_MIN:
-        return False
-    step = _CHUNK // _BLOCK
-    misses = (_split_error(t, a, step) for a in range(0, -(-t.size // _BLOCK), step))
-    return all(np.max(np.abs(d)) * omega < _SPLIT_TOLERANCE for d in misses)
+    return out[0] if plan.shape == () else out.reshape(plan.shape)
 
 
 def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.ndarray:
@@ -157,7 +232,7 @@ def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.n
     return out
 
 
-def _block_product(weights, tones, t: np.ndarray) -> np.ndarray:
+def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     """Per-mode product on a near-uniform 1-D grid, block by block.
 
     Sample j = a B + b sits at row a, column b: per mode and tone, np.exp
@@ -168,26 +243,15 @@ def _block_product(weights, tones, t: np.ndarray) -> np.ndarray:
     phases' rounding, shared by a whole row, is put back exactly as the
     factor 1 + i miss (_product_error), and each product is multiplied by
     1 + i w delta_j for the split's miss delta_j, which is exp(i w delta_j)
-    to double precision since routing bounds |w delta_j| by 1e-9.
+    to double precision since routing bounds |w delta_j| by 1e-9.  Every
+    array of a grid's size lives in workspace; the product fills its output.
     """
     cs, ds, cq, dq = weights
     eps_sum, eps_dif = tones
-    rows = -(-t.size // _BLOCK)
-    # about _CHUNK samples per chunk; a short tail joins the last chunk
-    chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
-    fine = t[:_BLOCK] - t[0]
-    out = np.empty((rows, _BLOCK), dtype=complex)
-    z1 = np.empty((chunk_rows, _BLOCK), dtype=complex)
-    z2 = np.empty((chunk_rows, _BLOCK), dtype=complex)
-    shift = np.empty((chunk_rows, _BLOCK), dtype=complex)  # 1 + i w delta
-    w1 = np.empty((_BLOCK, 2))  # (cs, ds) per column, matching z1.view(float)
-    w2 = np.empty((_BLOCK, 2))  # (cq, dq)
+    out, z1, z2, shift, w1, w2 = workspace
     w1_flat, w2_flat = w1.reshape(-1), w2.reshape(-1)
-    for start in range(0, rows, chunk_rows):
-        coarse = t[start * _BLOCK : (start + chunk_rows) * _BLOCK : _BLOCK]
+    for start, coarse, coarse_split, delta in plan.chunks:
         r = coarse.size
-        delta = _split_error(t, start, r)
-        coarse_split = _veltkamp_split(coarse)
         acc = out[start : start + r]
         acc[...] = 1.0
         z1c, z2c, shift_c = z1[:r], z2[:r], shift[:r]
@@ -198,7 +262,7 @@ def _block_product(weights, tones, t: np.ndarray) -> np.ndarray:
                 phase = w * coarse
                 miss = _product_error(_veltkamp_split(float(w)), coarse_split, phase)
                 row = np.exp(1j * phase) * (1.0 + 1j * miss)
-                np.multiply(row[:, None], np.exp(1j * (w * fine)), out=z)
+                np.multiply(row[:, None], np.exp(1j * (w * plan.fine)), out=z)
                 np.multiply(delta, w, out=shift_c.imag)
                 z *= shift_c
             w1[:, 0], w1[:, 1] = cs[j], ds[j]
@@ -207,7 +271,7 @@ def _block_product(weights, tones, t: np.ndarray) -> np.ndarray:
             z2_flat *= w2_flat
             z1_flat += z2_flat
             acc *= z1c
-    return out.reshape(-1)[: t.size]
+    return out.reshape(-1)[: plan.samples.size]
 
 
 def _product_error(a_split, b_split, product):

@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ModeTable
-from .decoherence import decoherence_factor, enumerate_lines, mode_coefficients
+from .decoherence import (
+    decoherence_factor,
+    enumerate_lines,
+    grid_plan,
+    mode_coefficients,
+)
 from .errors import CapacityError, ConfigError, DegenerateInputError, NumericsError
 from .params import ChainParams
 from .probe import ProbeState, mean_photon_number
@@ -112,14 +119,56 @@ def _populated_branches(table: ModeTable, state: ProbeState) -> dict[int, float]
     return branches
 
 
-def weighted_echo(table: ModeTable, state: ProbeState, t):
+def _threads(count: int) -> int:
+    """count, or for 0 the CPUs this process may run on."""
+    if count > 0:
+        return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
     """sum_n n |c_n|^2 D_{n,n-1}(t) over the populated branches, in ascending n.
 
-    This is S(t) without the exp(-Gamma |t|) envelope; t is an array.
+    This is S(t) without the exp(-Gamma |t|) envelope; t is an array.  The
+    grid's routing and block split are decided once for all branches.  On a
+    grid where every branch takes the block product, up to threads branches
+    (0: the CPUs this process may use) are computed at a time: the calling
+    thread takes the first of each round and one helper thread each of the
+    rest, into buffers the calling thread allocates, under the caller's
+    numpy error state.  The sum is taken in ascending n all the same, so the
+    result has the same bits at any threads.  A single branch, threads=1,
+    and a short, irregular or scalar t run on the calling thread alone.
     """
+    branches = list(_populated_branches(table, state).items())
     acc = np.zeros(np.shape(t), dtype=complex)
-    for n, weight in _populated_branches(table, state).items():
-        acc += weight * decoherence_factor(table, n, t)
+    plan = grid_plan(t)
+    workers = max(1, min(_threads(threads), len(branches)))
+    if all(plan.takes_block(table, n) for n, _ in branches):
+        workspaces = [plan.workspace() for _ in range(workers)]
+    else:
+        workers, workspaces = 1, [None]
+    # a new thread starts with numpy's default error state, on numpy 1 and 2
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def echo(n, workspace):
+        with np.errstate(**errstate):
+            return decoherence_factor(table, n, t, plan=plan, workspace=workspace)
+
+    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    try:
+        for first in range(0, len(branches), workers):
+            batch = list(zip(branches[first : first + workers], workspaces))
+            (own, _), own_workspace = batch[0]
+            helpers = [pool.submit(echo, n, workspace) for (n, _), workspace in batch[1:]]
+            echoes = [echo(own, own_workspace)] + [helper.result() for helper in helpers]
+            for ((_, weight), _), branch_echo in zip(batch, echoes):
+                branch_echo *= weight  # the same bits as acc += weight * echo
+                acc += branch_echo
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return acc
 
 
@@ -218,13 +267,16 @@ def correlation_series(
     state: ProbeState,
     t_max: float,
     n_samples: int,
+    threads: int = 0,
 ) -> CorrelationSeries:
     """S(t_j) = sum_n n |c_n|^2 D_{n,n-1}(t_j) exp(-Gamma |t_j|) on [-t_max, t_max).
 
     Every populated branch must be covered by the table.  The echo is
     evaluated on the non-negative half-grid and mirrored via
     S(-t) = conj(S(t)), which the real line weights make exact (bitwise, in
-    fact, for correctly rounded trigonometry).
+    fact, for correctly rounded trigonometry).  threads (0: the CPUs this
+    process may use) bounds how many populated branches are computed at
+    once; see weighted_echo.  The series has the same bits at any threads.
     """
     TimeGrid(t_max=t_max, n_samples=n_samples)  # validates the grid
     dt = 2.0 * t_max / n_samples
@@ -232,7 +284,7 @@ def correlation_series(
     # phases omega * t past the float range overflow to inf and then NaN;
     # the finiteness check below reports that as one NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
-        positive = weighted_echo(table, state, half)
+        positive = weighted_echo(table, state, half, threads)
         positive *= np.exp(-params.gamma_over_b * half)
     if not np.isfinite(positive).all():
         raise NumericsError(f"S(t) is not finite at lambda={params.lam:g} on t_max={t_max:g}")
@@ -260,8 +312,10 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
     dt = 2.0 * series.t_max / m
     signal = np.array(series.values)
     signal[0] = signal[0].real
-    phases = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)  # exp(i omega_l t_max)
-    raw = dt * phases * np.fft.fft(signal)
+    phases = np.full(m, dt)  # dt exp(i omega_l t_max) = +-dt
+    phases[1::2] = -dt
+    raw = phases * np.fft.fft(signal)
+    del signal, phases
     frequencies = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(m, d=dt))
     raw = np.fft.fftshift(raw)
 
@@ -480,7 +534,8 @@ def far_field_check(
     the branch ground-energy offset, not by lambda; one global frequency
     shift is therefore fitted before measuring the residual.  Near lambda=1
     the returned deviation is large; it is reported, never asserted.  The
-    spectrum is computed on the auto time grid.
+    spectrum is computed on the auto time grid, its populated branches on
+    the CPUs this process may use (see weighted_echo).
     """
     grid = auto_time_grid(params, table, state)
     spectrum = spectrum_fft(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,12 @@ from isingspec.chain import build_mode_table
 from isingspec.cli import (
     _CSV_CHUNK,
     _lambda_tag,
-    _threads,
     _write_csv,
     main,
     parse_chain,
     parse_probe,
 )
-from isingspec.spectrum import CorrelationSeries, auto_time_grid
+from isingspec.spectrum import CorrelationSeries, _threads, auto_time_grid
 
 SRC = str(Path(isingspec.__file__).resolve().parent.parent)
 
@@ -35,6 +35,10 @@ NON_FINITE_ECHO = {
     "time_grid": {"t_max": 5e307, "n_samples": 1024},
     "sweep": [0.5, 1.0],
 }
+
+
+# 15 populated branches, so one lambda at --threads 2 or more splits them
+COHERENT_PROBE = {"type": "coherent", "alpha": 1.0}
 
 
 @pytest.fixture
@@ -98,7 +102,7 @@ class TestWriteCsv:
         assert np.any(np.abs(values) != [abs(v) for v in values])
         times = np.linspace(-200.0, 200.0, values.size, endpoint=False)
 
-        def crafted(params, table, state, t_max, n_samples):
+        def crafted(params, table, state, t_max, n_samples, threads=0):
             return CorrelationSeries(t_max=t_max, times=times, values=values)
 
         monkeypatch.setattr("isingspec.cli.correlation_series", crafted)
@@ -239,10 +243,10 @@ class TestOutOfMemory:
     ):
         real = isingspec.cli.correlation_series
 
-        def exhausted_at_one(params, table, state, t_max, n_samples):
+        def exhausted_at_one(params, table, state, t_max, n_samples, threads=0):
             if params.lam == 1.0:
                 raise MemoryError
-            return real(params, table, state, t_max, n_samples)
+            return real(params, table, state, t_max, n_samples, threads)
 
         monkeypatch.setattr("isingspec.cli.correlation_series", exhausted_at_one)
         cfg_path = tmp_path / "cfg.json"
@@ -253,6 +257,28 @@ class TestOutOfMemory:
         assert result.stderr == "error: out of memory at lambda=1 on a grid of 4096 samples\n"
         assert (tmp_path / "out" / "correlation_lambda_0.5.csv").exists()
         assert not (tmp_path / "out" / "correlation_lambda_1.csv").exists()
+
+    def test_branch_in_a_helper_thread_is_capacity_error(self, runner, tmp_path, monkeypatch):
+        real = isingspec.spectrum.decoherence_factor
+        threads_of = {}
+
+        def exhausted_at_two(table, n, t, **kwargs):
+            threads_of[n] = threading.current_thread()
+            if n == 2:
+                raise MemoryError
+            return real(table, n, t, **kwargs)
+
+        monkeypatch.setattr("isingspec.spectrum.decoherence_factor", exhausted_at_two)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, probe=COHERENT_PROBE)
+        before = set(threading.enumerate())
+        args = ["spectrum", "--config", str(cfg_path), "--threads", "2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stderr == "error: out of memory at lambda=2 on a grid of 4096 samples\n"
+        assert threads_of[2] is not threads_of[1]  # branch 2 ran in a helper
+        assert set(threading.enumerate()) == before
+        assert not (tmp_path / "out").exists()
 
     def test_oracle_check_is_capacity_error(self, runner, tmp_path, monkeypatch):
         def exhausted(**kwargs):
@@ -292,21 +318,31 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("command", ["sweep", "spectrum", "correlation"])
     def test_threads_do_not_change_output(self, runner, tmp_path, command):
-        cfg_path = tmp_path / "cfg.json"
-        write_config(cfg_path, sweep=[0.5, 1.0, 2.0])
-        out = tmp_path / "out"
+        # three Fock lambdas split the threads among lambdas; one coherent
+        # lambda hands them all to its populated branches
+        cases = [
+            (tmp_path / "fock", {"sweep": [0.5, 1.0, 2.0]}),
+            (tmp_path / "coherent", {"sweep": [2.0], "probe": COHERENT_PROBE}),
+        ]
+        for case, over in cases:
+            case.mkdir()
+            cfg_path = case / "cfg.json"
+            write_config(cfg_path, **over)
+            out = case / "out"
 
-        def outputs(threads):
-            args = [command, "--config", str(cfg_path), "--threads", threads]
-            assert runner.invoke(main, args).exit_code == 0
-            return {path.name: path.read_bytes() for path in out.iterdir()}
+            def outputs(threads):
+                args = [command, "--config", str(cfg_path), "--threads", threads]
+                assert runner.invoke(main, args).exit_code == 0
+                return {path.name: path.read_bytes() for path in out.iterdir()}
 
-        serial = outputs("1")
-        if command == "sweep":
-            assert set(serial) == {"sweep_metrics.json"}
-        else:
-            assert len(serial) == (6 if command == "spectrum" else 3)
-        assert outputs("3") == serial
+            serial = outputs("1")
+            if command == "sweep":
+                assert set(serial) == {"sweep_metrics.json"}
+            else:
+                per_lambda = 2 if command == "spectrum" else 1
+                assert len(serial) == per_lambda * len(over["sweep"])
+            assert outputs("2") == serial
+            assert outputs("3") == serial
 
 
 LAMBDAS = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0)

@@ -9,6 +9,7 @@ from isingspec import (
     CapacityError,
     ChainParams,
     ModeCoefficients,
+    ParameterError,
     build_mode_table,
     decoherence_factor,
     enumerate_lines,
@@ -17,7 +18,7 @@ from isingspec import (
     oracle_decoherence,
     oracle_mode_factor,
 )
-from isingspec.decoherence import _product_error, _veltkamp_split
+from isingspec.decoherence import _product_error, _veltkamp_split, grid_plan
 
 
 # half-grid spacing of the auto grid at Gamma/B = 0.0039 (t_max = 8/Gamma)
@@ -251,6 +252,27 @@ class TestBlockFactorizedPath:
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
         np.testing.assert_array_equal(
             decoherence_factor(table, 1, t), loop_reference(table, 1, t)
+        )
+
+    def test_plan_and_workspace_keep_the_bits(self):
+        table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=2)
+        t = np.arange(32769) * UNIFORM_DT
+        plan = grid_plan(t)
+        workspace = plan.workspace()
+        for n in (1, 2):  # the second call reuses the first's buffers
+            assert plan.takes_block(table, n)
+            np.testing.assert_array_equal(
+                decoherence_factor(table, n, t, plan=plan, workspace=workspace),
+                decoherence_factor(table, n, t),
+            )
+        with pytest.raises(ParameterError, match="grid plan"):
+            decoherence_factor(table, 1, t[:-1], plan=plan)
+        with pytest.raises(ParameterError, match="grid plan"):  # same shape, other times
+            decoherence_factor(table, 1, 2.0 * t, plan=plan)
+        with_nan = np.array([0.0, np.nan, 1.0])  # NaN samples still match their own plan
+        np.testing.assert_array_equal(
+            decoherence_factor(table, 1, with_nan, plan=grid_plan(with_nan)),
+            decoherence_factor(table, 1, with_nan),
         )
 
     def test_row_phase_miss_is_exact(self):

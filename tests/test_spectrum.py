@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from isingspec import (
     ChainParams,
     ConfigError,
     DegenerateInputError,
+    NumericsError,
     Spectrum,
     TimeGrid,
     auto_time_grid,
@@ -29,6 +31,8 @@ from isingspec import (
     threshold_crossing_time,
     weighted_echo,
 )
+from isingspec import spectrum
+from isingspec.decoherence import grid_plan
 from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
@@ -107,6 +111,46 @@ class TestCorrelationSeries:
             if weights[n] > 0.0:
                 expected += weights[n] * decoherence_factor(table, n, t)
         np.testing.assert_array_equal(weighted_echo(table, state, t), expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_branch_threads_keep_the_serial_sum_bitwise(self, threads, monkeypatch):
+        p = params_for(n_sites=20, lam=0.9)
+        state = coherent_state(1.0)
+        weights = state.branch_weights()
+        table = build_mode_table(p, n_max=state.n_max)
+        grid = auto_time_grid(p, table, state)
+        half = np.arange(grid.n_samples // 2 + 1) * (2.0 * grid.t_max / grid.n_samples)
+        branches = [n for n in range(1, len(weights)) if weights[n] > 0.0]
+        assert len(branches) > 5
+        plan = grid_plan(half)
+        assert half.size >= 2048 and all(plan.takes_block(table, n) for n in branches)
+        expected = np.zeros(half.shape, dtype=complex)
+        for n in branches:
+            expected += weights[n] * decoherence_factor(table, n, half)
+        pools = []
+
+        class Pool(spectrum.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                assert threads > 1, "threads=1 started a thread"
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(spectrum, "ThreadPoolExecutor", Pool)
+        echo = weighted_echo(table, state, half, threads=threads)
+        np.testing.assert_array_equal(echo, expected)
+        assert pools == ([threads - 1] if threads > 1 else [])
+
+    def test_branch_threads_keep_the_callers_error_state(self):
+        # a dyadic step makes the split exact, so every branch takes the
+        # block product, whose phases overflow: helpers that ignored the
+        # caller's errstate would warn, and the filter turns that into an error
+        p = params_for(n_sites=20, lam=0.9)
+        state = coherent_state(1.0)
+        table = build_mode_table(p, n_max=state.n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="not finite"):
+                correlation_series(p, table, state, 2.0**1022, 4096, threads=2)
 
     def test_weighted_echo_missing_branch_is_config_error(self):
         p = params_for()
