@@ -110,8 +110,9 @@ def _branch_pair(table: ModeTable, n: int):
 class GridPlan:
     """What decoherence_factor decides about a time grid once, for every branch.
 
-    samples is t as a flat float array and shape the shape of t, () for a
-    scalar.  A 1-D t of at least 2048 samples carries its block split:
+    Build it with grid_plan(t) and pass it to decoherence_factor in place of
+    t.  samples is t as a flat float array and shape the shape of t, () for
+    a scalar.  A 1-D t of at least 2048 samples carries its block split:
     split_miss is max |delta_j| over the grid, fine the column offsets
     t_b - t_0, and chunks one (first row, coarse row times t_aB, their
     Veltkamp split, delta) per chunk of chunk_rows rows.  Any other t has
@@ -124,6 +125,11 @@ class GridPlan:
     fine: np.ndarray | None = None
     chunks: tuple = ()
     chunk_rows: int = 0
+
+    @property
+    def size(self) -> int:
+        """Number of samples, as np.size(t) counts them."""
+        return self.samples.size
 
     def takes_block(self, table: ModeTable, n: int) -> bool:
         """Branch pair (n, n-1) takes the block product on this grid.
@@ -142,7 +148,7 @@ class GridPlan:
         buffer and returns a view of it, valid until the next call that is
         given this workspace.
         """
-        rows = -(-self.samples.size // _BLOCK)
+        rows = -(-self.size // _BLOCK)
         chunk = (self.chunk_rows, _BLOCK)
         return (
             np.empty((rows, _BLOCK), dtype=complex),
@@ -158,7 +164,11 @@ def grid_plan(t) -> GridPlan:
     """The routing and block split of time grid t, shared by every branch pair.
 
     The split of a 1-D t of at least 2048 samples is computed in chunks of
-    about 2^15 samples (a short tail joins the last chunk) and kept.
+    about 2^15 samples (a short tail joins the last chunk) and kept.  Its
+    miss delta_j = t_j - (t_aB + (t_b - t_0)) carries one rounding: the
+    rounded sum s and its two-sum error are exact, and so is t_j - s
+    wherever t_j and s agree to within a factor of two.  Past the last
+    sample t_j reads s (padding only).
     """
     shape = np.shape(t)
     samples = np.asarray(t, dtype=float).reshape(-1)
@@ -166,18 +176,26 @@ def grid_plan(t) -> GridPlan:
         return GridPlan(samples, shape)
     rows = -(-samples.size // _BLOCK)
     chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
+    fine = samples[:_BLOCK] - samples[0]
     chunks = []
     for start in range(0, rows, chunk_rows):
-        coarse = samples[start * _BLOCK : (start + chunk_rows) * _BLOCK : _BLOCK]
-        delta = _split_error(samples, start, coarse.size)
+        times = samples[start * _BLOCK : (start + chunk_rows) * _BLOCK]
+        coarse = times[::_BLOCK]
+        s = coarse[:, None] + fine
+        fine_part = s - coarse[:, None]
+        # delta_j = (t_j - s) - (two-sum error of s), formed in place so that
+        # few chunk-sized temporaries are alive at once
+        delta = s.copy()
+        delta.reshape(-1)[: times.size] = times
+        delta -= s
+        delta -= (coarse[:, None] - (s - fine_part)) + (fine - fine_part)
         chunks.append((start, coarse, _veltkamp_split(coarse), delta))
     # np.max, not max(): a NaN miss anywhere must route every branch off the split
     split_miss = float(np.max([np.max(np.abs(chunk[3])) for chunk in chunks]))
-    fine = samples[:_BLOCK] - samples[0]
     return GridPlan(samples, shape, split_miss, fine, tuple(chunks), chunk_rows)
 
 
-def decoherence_factor(table: ModeTable, n: int, t, plan=None, workspace=None):
+def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
     """Echo between branches n and n-1 at time(s) t, product over momenta.
 
     The per-momentum factors are multiplied in ascending-k order regardless
@@ -189,22 +207,13 @@ def decoherence_factor(table: ModeTable, n: int, t, plan=None, workspace=None):
     takes mode_factor itself, broadcast over modes and time chunks.
     Magnitudes below 1e-300 are flushed to exactly zero.
 
-    plan is grid_plan(t), for callers that evaluate several branches on one
-    grid; it is built here when not given, and a plan made from other times
-    raises ParameterError.  workspace, from plan.workspace(),
-    holds the block product's buffers: the result is then written into it
-    and returned as a view (see GridPlan.workspace).  Neither changes a bit
-    of the result.
+    t may also be grid_plan(t), for callers that evaluate several branches
+    on one grid.  workspace, from plan.workspace(), holds the block
+    product's buffers: the result is then written into it and returned as a
+    view (see GridPlan.workspace).  Neither changes a bit of the result.
     """
     coeffs, eps_n, eps_p = _branch_pair(table, n)
-    if plan is None:
-        plan = grid_plan(t)
-    elif plan.shape != np.shape(t) or not (
-        np.array_equal(plan.samples, np.ravel(t))
-        # equal_nan copies both arrays: only for a t that fails the plain test
-        or np.array_equal(plan.samples, np.ravel(t), equal_nan=True)
-    ):
-        raise ParameterError("grid plan given for another t than it was made from")
+    plan = t if isinstance(t, GridPlan) else grid_plan(t)
     if plan.takes_block(table, n):
         weights = _channel_sums(coeffs)
         tones = (eps_n + eps_p, eps_n - eps_p)
@@ -271,7 +280,7 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
             z2_flat *= w2_flat
             z1_flat += z2_flat
             acc *= z1c
-    return out.reshape(-1)[: plan.samples.size]
+    return out.reshape(-1)[: plan.size]
 
 
 def _product_error(a_split, b_split, product):
@@ -291,24 +300,6 @@ def _veltkamp_split(x):
     scaled = _SPLITTER * x
     hi = scaled - (scaled - x)
     return hi, x - hi
-
-
-def _split_error(t: np.ndarray, start: int, rows: int) -> np.ndarray:
-    """delta_j = t_j - (t_aB + (t_b - t_0)) for rows start .. start + rows - 1.
-
-    The rounded sum s and its two-sum error are exact, and t_j - s is exact
-    wherever t_j and s agree to within a factor of two, so delta_j carries
-    one rounding.  Past the last sample t_j reads s (padding only).
-    """
-    fine = t[:_BLOCK] - t[0]
-    coarse = t[start * _BLOCK : (start + rows) * _BLOCK : _BLOCK, None]
-    s = coarse + fine
-    fine_part = s - coarse
-    sum_error = (coarse - (s - fine_part)) + (fine - fine_part)
-    samples = t[start * _BLOCK : (start + rows) * _BLOCK]
-    t_j = s.copy()
-    t_j.reshape(-1)[: samples.size] = samples
-    return (t_j - s) - sum_error
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,7 @@ def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
     acc = np.zeros(np.shape(t), dtype=complex)
     plan = grid_plan(t)
     workers = max(1, min(_threads(threads), len(branches)))
-    if all(plan.takes_block(table, n) for n, _ in branches):
+    if branches and all(plan.takes_block(table, n) for n, _ in branches):
         workspaces = [plan.workspace() for _ in range(workers)]
     else:
         workers, workspaces = 1, [None]
@@ -154,21 +155,16 @@ def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
 
     def echo(n, workspace):
         with np.errstate(**errstate):
-            return decoherence_factor(table, n, t, plan=plan, workspace=workspace)
+            return decoherence_factor(table, n, plan, workspace=workspace)
 
-    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-    try:
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
         for first in range(0, len(branches), workers):
-            batch = list(zip(branches[first : first + workers], workspaces))
-            (own, _), own_workspace = batch[0]
-            helpers = [pool.submit(echo, n, workspace) for (n, _), workspace in batch[1:]]
-            echoes = [echo(own, own_workspace)] + [helper.result() for helper in helpers]
-            for ((_, weight), _), branch_echo in zip(batch, echoes):
+            ns, weights = zip(*branches[first : first + workers])
+            helpers = [pool.submit(echo, *job) for job in zip(ns[1:], workspaces[1:])]
+            echoes = [echo(ns[0], workspaces[0])] + [h.result() for h in helpers]
+            for weight, branch_echo in zip(weights, echoes):
                 branch_echo *= weight  # the same bits as acc += weight * echo
                 acc += branch_echo
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return acc
 
 

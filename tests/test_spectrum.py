@@ -32,7 +32,7 @@ from isingspec import (
     weighted_echo,
 )
 from isingspec import spectrum
-from isingspec.decoherence import grid_plan
+from isingspec.decoherence import GridPlan, grid_plan
 from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
@@ -57,6 +57,17 @@ class TestCorrelationSeries:
         table = build_mode_table(p, n_max=1)
         series = correlation_series(p, table, fock_superposition([1]), 50.0, 256)
         np.testing.assert_allclose(series.values, 0.0, atol=1e-15)
+
+    def test_vacuum_probe_allocates_no_block_buffers(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("workspace built for a probe with no populated branch")
+
+        monkeypatch.setattr(GridPlan, "workspace", refused)
+        p = params_for()
+        table = build_mode_table(p, n_max=1)
+        assert grid_plan(np.arange(2049) * (100.0 / 4096)).split_miss == 0.0  # block path
+        series = correlation_series(p, table, fock_superposition([1]), 50.0, 4096, threads=2)
+        np.testing.assert_array_equal(series.values, 0.0)
 
     def test_time_zero_equals_mean_photon_number(self):
         p = params_for()
@@ -172,7 +183,7 @@ probes = st.one_of(
 class TestUniformGridProperties:
     """Invariants at random (N, lambda, g, probe) on a uniform grid.
 
-    2048 samples give a 1025-point half-grid t_j = j dt, so both the branch
+    4096 samples give a 2049-point half-grid t_j = j dt, so both the branch
     echoes and S(t) come from the block-factorized product.
     """
 
@@ -186,9 +197,11 @@ class TestUniformGridProperties:
     def test_echo_and_series_invariants(self, n_sites, lam, g_over_b, state):
         p = params_for(n_sites=n_sites, lam=lam, g_over_b=g_over_b)
         table = build_mode_table(p, n_max=max(state.n_max, 1))
-        series = correlation_series(p, table, state, 200.0, 2048)
+        series = correlation_series(p, table, state, 200.0, 4096)
         mid = series.n_samples // 2
-        half = np.arange(mid + 1) * (400.0 / 2048)  # the grid correlation_series uses
+        half = np.arange(mid + 1) * (2.0 * 200.0 / 4096)  # the grid correlation_series uses
+        plan = grid_plan(half)
+        assert all(plan.takes_block(table, n) for n in _populated_branches(table, state))
         for n in range(1, state.n_max + 1):
             echo = decoherence_factor(table, n, half)
             assert abs(echo[0] - 1.0) <= 1e-12
@@ -240,7 +253,7 @@ class TestSpectrumFFT:
     @pytest.mark.parametrize("n_sites", [4, 8])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("probe", ["fock", "coherent"])
-    def test_matches_discrete_line_kernel(self, n_sites, lam, probe):
+    def test_matches_discrete_line_kernel(self, n_sites, lam, probe, grid=None):
         # The transform of one sampled, truncated line has a closed form: a
         # line of weight w at center c gives w K(omega) with
         # K = dt Re[2 (1 - z^P) / (1 - z) - 1 + z^P], where P = M/2,
@@ -248,10 +261,11 @@ class TestSpectrumFFT:
         # not as a power; the -t_max sample is counted once and real.  Summed
         # over the enumerated lines it predicts spectrum_fft exactly, unlike
         # the continuous Lorentzian sum, which differs from it by the
-        # truncation leakage exp(-Gamma t_max).
+        # truncation leakage exp(-Gamma t_max).  grid (t_max, n_samples)
+        # defaults to the auto grid.
         p = params_for(n_sites=n_sites, lam=lam)
         state = fock_superposition([1, 1]) if probe == "fock" else coherent_state(1.0)
-        table, series, spec = pipeline(p, state)
+        table, series, spec = pipeline(p, state, *(grid or ()))
         t_max, gamma = series.t_max, p.gamma_over_b
         dt = 2.0 * t_max / series.n_samples
         omega = spec.frequencies
@@ -269,6 +283,27 @@ class TestSpectrumFFT:
                 expected += weight * (lines.weights[start : start + 64] @ kernel)
         deviation = np.linalg.norm(spec.values - expected) / np.linalg.norm(expected)
         assert deviation <= 1e-12
+
+    @pytest.mark.parametrize(
+        "grid, route",
+        [
+            ((300.0, 4096), "exact split"),
+            ((257.3, 4096), "split miss"),
+            ((150.0, 2048), "mode_factor"),
+        ],
+        ids=["exact-split", "split-miss", "mode-factor"],
+    )
+    @pytest.mark.parametrize("n_sites", [4, 8])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("probe", ["fock", "coherent"])
+    def test_matches_discrete_line_kernel_on_explicit_grids(
+        self, n_sites, lam, probe, grid, route
+    ):
+        t_max, n_samples = grid
+        miss = grid_plan(np.arange(n_samples // 2 + 1) * (2.0 * t_max / n_samples)).split_miss
+        routes = {0.0: "exact split", math.inf: "mode_factor"}
+        assert routes.get(miss, "split miss") == route
+        self.test_matches_discrete_line_kernel(n_sites, lam, probe, grid)
 
     def test_probe_phase_invariance(self):
         p = params_for(lam=0.9)
