@@ -20,6 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._csvformat import format_rows
 from .chain import bogoliubov_angle, build_mode_table, dispersion, momentum_grid
 from .decoherence import enumerate_lines
 from .errors import (
@@ -49,9 +50,9 @@ EXIT_ORACLE = 4
 EXIT_NUMERICS = 5
 
 _FLOAT_FMT = "%.17g"
-# rows per formatted block: larger blocks format no faster, and at 4096 rows
-# the allocator kept ~2 MB more resident over a six-lambda correlation run
-_CSV_CHUNK = 512
+# values per formatted CSV block: numpy's per-call cost is spread over this
+# many values, and one block's buffers peak at about 1.5 MB
+_CSV_CHUNK = 8192
 
 
 def _fmt(x: float) -> str:
@@ -250,21 +251,23 @@ def _open_output(path: Path, mode: str, **kwargs):
 def _write_csv(path: Path, header: list[str], columns: dict[str, np.ndarray]) -> Path:
     """Write header lines, the column names, then one row per index of the columns.
 
-    Each value is formatted with %.17g.  Rows are copied into one reusable
-    block of _CSV_CHUNK rows and formatted with one %-operation per block,
-    so neither the whole table nor the whole file is ever held at once.
+    Each value is written as %.17g writes it, byte for byte.  Rows are
+    copied into one reusable block of _CSV_CHUNK // columns rows, which
+    _csvformat.format_rows formats in numpy (a value it cannot prove exact
+    goes through %.17g itself), so neither the whole table nor the whole
+    file is ever held at once.
     """
     arrays = list(columns.values())
     n_rows = len(arrays[0])
-    row_fmt = (",".join([_FLOAT_FMT] * len(arrays)) + "\n").encode()
-    block = np.empty((min(n_rows, _CSV_CHUNK), len(arrays)))
+    block_rows = _CSV_CHUNK // len(arrays)
+    block = np.empty((min(n_rows, block_rows), len(arrays)))
     with _open_output(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in [*header, ",".join(columns)]).encode())
-        for start in range(0, n_rows, _CSV_CHUNK):
+        for start in range(0, n_rows, block_rows):
             rows = block[: n_rows - start]
             for j, column in enumerate(arrays):
                 rows[:, j] = column[start : start + len(rows)]
-            fh.write((row_fmt * len(rows)) % tuple(rows.ravel().tolist()))
+            fh.write(format_rows(rows))
     return path
 
 

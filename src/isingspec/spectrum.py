@@ -140,13 +140,16 @@ def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
     rest, into buffers the calling thread allocates, under the caller's
     numpy error state.  The sum is taken in ascending n all the same, so the
     result has the same bits at any threads.  A single branch, threads=1,
-    and a short, irregular or scalar t run on the calling thread alone.
+    and a short, irregular or scalar t run on the calling thread alone; a
+    probe with no populated branch gets zeros without a grid plan.
     """
     branches = list(_populated_branches(table, state).items())
     acc = np.zeros(np.shape(t), dtype=complex)
+    if not branches:
+        return acc
     plan = grid_plan(t)
-    workers = max(1, min(_threads(threads), len(branches)))
-    if branches and all(plan.takes_block(table, n) for n, _ in branches):
+    workers = min(_threads(threads), len(branches))
+    if all(plan.takes_block(table, n) for n, _ in branches):
         workspaces = [plan.workspace() for _ in range(workers)]
     else:
         workers, workspaces = 1, [None]

@@ -79,16 +79,19 @@ class TestWriteCsv:
     SPECIAL = (-0.0, 0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
                1.0, -3.0, 2.0**53, 1e22)
 
-    @pytest.mark.parametrize(
-        "n_rows", [0, 1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]
-    )
-    def test_matches_row_wise_writer(self, tmp_path, n_rows):
+    @pytest.mark.parametrize("n_columns", [2, 4])
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_matches_row_wise_writer(self, tmp_path, n_columns, blocks, extra):
+        # a block holds _CSV_CHUNK // columns rows
+        n_rows = blocks * (_CSV_CHUNK // n_columns) + extra
         rng = np.random.default_rng(n_rows)
-        columns = {
+        candidates = {
             "special": np.resize(np.array(self.SPECIAL), n_rows),
             "random": rng.standard_normal(n_rows) * 10.0 ** rng.uniform(-300, 300, n_rows),
             "integer": rng.integers(-(10**6), 10**6, n_rows).astype(float),
+            "uniform": rng.uniform(-1.0, 1.0, n_rows),
         }
+        columns = dict(list(candidates.items())[:n_columns])
         header = ["# one", "# two"]
         path = _write_csv(tmp_path / "x.csv", header, columns)
         rows = zip(*columns.values())

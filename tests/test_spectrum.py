@@ -32,7 +32,7 @@ from isingspec import (
     weighted_echo,
 )
 from isingspec import spectrum
-from isingspec.decoherence import GridPlan, grid_plan
+from isingspec.decoherence import grid_plan
 from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
@@ -59,13 +59,14 @@ class TestCorrelationSeries:
         np.testing.assert_allclose(series.values, 0.0, atol=1e-15)
 
     def test_vacuum_probe_allocates_no_block_buffers(self, monkeypatch):
-        def refused(self):
-            raise AssertionError("workspace built for a probe with no populated branch")
+        # no grid plan either: its split alone holds a grid-sized array
+        def refused(t):
+            raise AssertionError("grid plan built for a probe with no populated branch")
 
-        monkeypatch.setattr(GridPlan, "workspace", refused)
         p = params_for()
         table = build_mode_table(p, n_max=1)
         assert grid_plan(np.arange(2049) * (100.0 / 4096)).split_miss == 0.0  # block path
+        monkeypatch.setattr("isingspec.spectrum.grid_plan", refused)
         series = correlation_series(p, table, fock_superposition([1]), 50.0, 4096, threads=2)
         np.testing.assert_array_equal(series.values, 0.0)
 
