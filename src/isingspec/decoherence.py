@@ -32,6 +32,8 @@ MAX_ENUMERABLE_MODES = 14
 
 # samples per block-product chunk, mode-samples per mode_factor broadcast
 _CHUNK = 1 << 15
+# modes whose block-product tables are built together
+_GROUP = 8
 # 1-D grids of _BLOCK_MIN or more samples whose split t_aB + (t_b - t_0),
 # j = a B + b, misses every t_j by a phase under _SPLIT_TOLERANCE take the
 # block-factorized product
@@ -141,12 +143,13 @@ class GridPlan:
         return self.split_miss * omega < _SPLIT_TOLERANCE
 
     def workspace(self):
-        """Buffers of one block-product call: output, z1, z2, shift, w1, w2.
+        """Buffers of one block-product call: output, z1, z2 and shift.
 
         Allocate one per thread that runs branches, on the thread that
         sums them: decoherence_factor writes its result into the output
         buffer and returns a view of it, valid until the next call that is
-        given this workspace.
+        given this workspace.  The per-group tables of _block_product are
+        smaller than a chunk and are not part of it.
         """
         rows = -(-self.size // _BLOCK)
         chunk = (self.chunk_rows, _BLOCK)
@@ -155,8 +158,6 @@ class GridPlan:
             np.empty(chunk, dtype=complex),
             np.empty(chunk, dtype=complex),
             np.empty(chunk, dtype=complex),  # 1 + i w delta
-            np.empty((_BLOCK, 2)),  # (cs, ds) per column, matching z1.view(float)
-            np.empty((_BLOCK, 2)),  # (cq, dq)
         )
 
 
@@ -244,21 +245,30 @@ def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.n
 def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     """Per-mode product on a near-uniform 1-D grid, block by block.
 
-    Sample j = a B + b sits at row a, column b: per mode and tone, np.exp
-    builds a row table exp(i w t_aB) and a column table exp(i w (t_b - t_0)),
-    and their outer products z1, z2 give the factor (cs Re z1 + cq Re z2) +
-    i (ds Im z1 + dq Im z2), weighted through the interleaved float views.
+    Sample j = a B + b sits at row a, column b: per mode and tone, the outer
+    product of a row table exp(i w t_aB) and a column table
+    exp(i w (t_b - t_0)) is z1 (sum tone) or z2 (difference tone), and the
+    factor is (cs Re z1 + cq Re z2) + i (ds Im z1 + dq Im z2), weighted
+    through the interleaved float views.
     Two corrections keep every phase at w t_j to double precision: the row
     phases' rounding, shared by a whole row, is put back exactly as the
     factor 1 + i miss (_product_error), and each product is multiplied by
     1 + i w delta_j for the split's miss delta_j, which is exp(i w delta_j)
-    to double precision since routing bounds |w delta_j| by 1e-9.  Every
-    array of a grid's size lives in workspace; the product fills its output.
+    to double precision since routing bounds |w delta_j| by 1e-9.
+
+    Everything smaller than a chunk (tones, row phases and their miss, row
+    and column tables, the interleaved weight rows (cs, ds) and (cq, dq))
+    is built for _GROUP modes at a time, one numpy call per group.  The
+    per-mode loop then makes only chunk-sized calls, which release the GIL,
+    so branch and lambda threads do not queue on each other's bookkeeping;
+    every element sees the same operations in the same order as a loop
+    that builds each mode's tables alone.  Every array of a grid's size
+    lives in workspace; the product fills its output.
     """
-    cs, ds, cq, dq = weights
-    eps_sum, eps_dif = tones
-    out, z1, z2, shift, w1, w2 = workspace
-    w1_flat, w2_flat = w1.reshape(-1), w2.reshape(-1)
+    out, z1, z2, shift = workspace
+    # (mode, tone, 1) and (mode, tone, 1, (cos, sin) weight) for tones (sum, dif)
+    tone_pairs = np.stack(tones, axis=1)[:, :, None]
+    weight_pairs = np.stack(weights, axis=1).reshape(-1, 2, 1, 2)
     for start, coarse, coarse_split, delta in plan.chunks:
         r = coarse.size
         acc = out[start : start + r]
@@ -266,20 +276,23 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
         z1c, z2c, shift_c = z1[:r], z2[:r], shift[:r]
         z1_flat, z2_flat = z1c.view(float), z2c.view(float)
         shift_c.real = 1.0
-        for j in range(eps_sum.size):  # ascending k
-            for w, z in ((eps_sum[j], z1c), (eps_dif[j], z2c)):
-                phase = w * coarse
-                miss = _product_error(_veltkamp_split(float(w)), coarse_split, phase)
-                row = np.exp(1j * phase) * (1.0 + 1j * miss)
-                np.multiply(row[:, None], np.exp(1j * (w * plan.fine)), out=z)
-                np.multiply(delta, w, out=shift_c.imag)
-                z *= shift_c
-            w1[:, 0], w1[:, 1] = cs[j], ds[j]
-            w2[:, 0], w2[:, 1] = cq[j], dq[j]
-            z1_flat *= w1_flat
-            z2_flat *= w2_flat
-            z1_flat += z2_flat
-            acc *= z1c
+        for g in range(0, tone_pairs.shape[0], _GROUP):
+            w = tone_pairs[g : g + _GROUP]
+            phase = w * coarse
+            miss = _product_error(_veltkamp_split(w), coarse_split, phase)
+            rows = np.exp(1j * phase) * (1.0 + 1j * miss)
+            columns = np.exp(1j * (w * plan.fine))
+            weight_rows = np.repeat(weight_pairs[g : g + _GROUP], _BLOCK, axis=2)
+            weight_rows = weight_rows.reshape(-1, 2, 2 * _BLOCK)
+            for m in range(w.shape[0]):  # ascending k
+                for z, row, column, tone in zip((z1c, z2c), rows[m], columns[m], w[m, :, 0]):
+                    np.multiply(row[:, None], column, out=z)
+                    np.multiply(delta, tone, out=shift_c.imag)
+                    z *= shift_c
+                z1_flat *= weight_rows[m, 0]
+                z2_flat *= weight_rows[m, 1]
+                z1_flat += z2_flat
+                acc *= z1c
     return out.reshape(-1)[: plan.size]
 
 

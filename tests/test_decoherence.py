@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,13 @@ from isingspec import (
     oracle_decoherence,
     oracle_mode_factor,
 )
-from isingspec.decoherence import _product_error, _veltkamp_split, grid_plan
+from isingspec.decoherence import (
+    _block_product,
+    _channel_sums,
+    _product_error,
+    _veltkamp_split,
+    grid_plan,
+)
 
 
 # half-grid spacing of the auto grid at Gamma/B = 0.0039 (t_max = 8/Gamma)
@@ -37,6 +44,41 @@ def loop_reference(table, n, t):
         coeffs = ModeCoefficients(pp=c.pp[j], pm=c.pm[j], mp=c.mp[j], mm=c.mm[j])
         acc *= mode_factor(coeffs, table.epsilon[n][j], table.epsilon[n - 1][j], t)
     return acc
+
+
+def per_mode_block_reference(weights, tones, plan):
+    """The block product with every table built one mode at a time.
+
+    A copy of the kernel's loop before its tables were built per group of
+    modes: the grouped kernel must give these bits exactly.
+    """
+    cs, ds, cq, dq = weights
+    eps_sum, eps_dif = tones
+    out, z1, z2, shift = plan.workspace()
+    w1, w2 = np.empty((512, 2)), np.empty((512, 2))
+    w1_flat, w2_flat = w1.reshape(-1), w2.reshape(-1)
+    for start, coarse, coarse_split, delta in plan.chunks:
+        r = coarse.size
+        acc = out[start : start + r]
+        acc[...] = 1.0
+        z1c, z2c, shift_c = z1[:r], z2[:r], shift[:r]
+        z1_flat, z2_flat = z1c.view(float), z2c.view(float)
+        shift_c.real = 1.0
+        for j in range(eps_sum.size):
+            for w, z in ((eps_sum[j], z1c), (eps_dif[j], z2c)):
+                phase = w * coarse
+                miss = _product_error(_veltkamp_split(float(w)), coarse_split, phase)
+                row = np.exp(1j * phase) * (1.0 + 1j * miss)
+                np.multiply(row[:, None], np.exp(1j * (w * plan.fine)), out=z)
+                np.multiply(delta, w, out=shift_c.imag)
+                z *= shift_c
+            w1[:, 0], w1[:, 1] = cs[j], ds[j]
+            w2[:, 0], w2[:, 1] = cq[j], dq[j]
+            z1_flat *= w1_flat
+            z2_flat *= w2_flat
+            z1_flat += z2_flat
+            acc *= z1c
+    return out.reshape(-1)[: plan.size]
 
 
 def longdouble_echo(table, n, times):
@@ -265,6 +307,46 @@ class TestBlockFactorizedPath:
                 decoherence_factor(table, n, plan, workspace=workspace),
                 decoherence_factor(table, n, t),
             )
+
+    @pytest.mark.parametrize(
+        "n_sites, lam, t",
+        [
+            (2, 1.0, np.arange(32769) * UNIFORM_DT),  # one mode
+            (38, 1.0, np.arange(32769) * UNIFORM_DT),  # 19 modes: a short last group
+            (1000, 0.25, np.arange(32769) * UNIFORM_DT),
+            (1000, 1.0, np.arange(32769) * UNIFORM_DT),
+            (1000, 100.0, np.arange(32769) * UNIFORM_DT),
+            (38, 1.0, np.arange(131073) * UNIFORM_DT),  # five chunks
+            (38, 1.0, np.arange(20.0, 708.5, 0.1)),  # does not start at 0
+            # the explicit grid t_max = 300, 4096 samples: its split is exact
+            (38, 1.0, np.arange(2049) * (2.0 * 300.0 / 4096)),
+        ],
+        ids=["n2", "n38", "n1000-0.25", "n1000-1", "n1000-100", "chunks", "offset", "exact"],
+    )
+    def test_grouped_tables_keep_the_per_mode_bits(self, n_sites, lam, t):
+        table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=0.08125), n_max=1)
+        plan = grid_plan(t)
+        assert plan.takes_block(table, 1)
+        c = mode_coefficients(table.alpha[1], table.alpha[0])
+        weights = _channel_sums(c)
+        tones = (table.epsilon[1] + table.epsilon[0], table.epsilon[1] - table.epsilon[0])
+        grouped = _block_product(weights, tones, plan, plan.workspace())
+        reference = per_mode_block_reference(weights, tones, plan)
+        np.testing.assert_array_equal(grouped.view(np.uint64), reference.view(np.uint64))
+
+    def test_block_scratch_memory_is_bounded(self):
+        # the kernel's own allocations beyond the caller's workspace: its
+        # per-group tables, never per-mode tables of every mode at once
+        table = build_mode_table(params_for(n_sites=1000, lam=1.0, g_over_b=0.08125), n_max=1)
+        plan = grid_plan(np.arange(32769) * UNIFORM_DT)
+        workspace = plan.workspace()
+        tracemalloc.start()
+        try:
+            decoherence_factor(table, 1, plan, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_row_phase_miss_is_exact(self):
         # w t - fl(w t) for tone frequencies and times of the N = 1000 auto
