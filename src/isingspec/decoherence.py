@@ -117,8 +117,9 @@ class GridPlan:
     a scalar.  A 1-D t of at least 2048 samples carries its block split:
     split_miss is max |delta_j| over the grid, fine the column offsets
     t_b - t_0, and chunks one (first row, coarse row times t_aB, their
-    Veltkamp split, delta) per chunk of chunk_rows rows.  Any other t has
-    no chunks and an infinite split_miss, so every branch takes mode_factor.
+    Veltkamp split, delta) per chunk of chunk_rows rows, with each delta_j
+    twice, once per float of a complex sample.  Any other t has no chunks
+    and an infinite split_miss, so every branch takes mode_factor.
     """
 
     samples: np.ndarray
@@ -143,21 +144,19 @@ class GridPlan:
         return self.split_miss * omega < _SPLIT_TOLERANCE
 
     def workspace(self):
-        """Buffers of one block-product call: output, z1, z2 and shift.
+        """Buffers of one block-product call: output and fg.
 
         Allocate one per thread that runs branches, on the thread that
         sums them: decoherence_factor writes its result into the output
         buffer and returns a view of it, valid until the next call that is
-        given this workspace.  The per-group tables of _block_product are
-        smaller than a chunk and are not part of it.
+        given this workspace.  fg holds 2 chunk_rows rows, a mode's factor
+        F over a chunk above its time derivative G.  The per-group tables
+        of _block_product are smaller than a chunk and are not part of it.
         """
         rows = -(-self.size // _BLOCK)
-        chunk = (self.chunk_rows, _BLOCK)
         return (
             np.empty((rows, _BLOCK), dtype=complex),
-            np.empty(chunk, dtype=complex),
-            np.empty(chunk, dtype=complex),
-            np.empty(chunk, dtype=complex),  # 1 + i w delta
+            np.empty((2 * self.chunk_rows, _BLOCK), dtype=complex),
         )
 
 
@@ -190,7 +189,7 @@ def grid_plan(t) -> GridPlan:
         delta.reshape(-1)[: times.size] = times
         delta -= s
         delta -= (coarse[:, None] - (s - fine_part)) + (fine - fine_part)
-        chunks.append((start, coarse, _veltkamp_split(coarse), delta))
+        chunks.append((start, coarse, _veltkamp_split(coarse), np.repeat(delta, 2, axis=1)))
     # np.max, not max(): a NaN miss anywhere must route every branch off the split
     split_miss = float(np.max([np.max(np.abs(chunk[3])) for chunk in chunks]))
     return GridPlan(samples, shape, split_miss, fine, tuple(chunks), chunk_rows)
@@ -245,54 +244,76 @@ def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.n
 def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     """Per-mode product on a near-uniform 1-D grid, block by block.
 
-    Sample j = a B + b sits at row a, column b: per mode and tone, the outer
-    product of a row table exp(i w t_aB) and a column table
-    exp(i w (t_b - t_0)) is z1 (sum tone) or z2 (difference tone), and the
-    factor is (cs Re z1 + cq Re z2) + i (ds Im z1 + dq Im z2), weighted
-    through the interleaved float views.
-    Two corrections keep every phase at w t_j to double precision: the row
-    phases' rounding, shared by a whole row, is put back exactly as the
-    factor 1 + i miss (_product_error), and each product is multiplied by
-    1 + i w delta_j for the split's miss delta_j, which is exp(i w delta_j)
-    to double precision since routing bounds |w delta_j| by 1e-9.
+    Sample j = a B + b sits at row a, column b.  Per mode, a row table
+    R = exp(i w t_aB) and a column table C = exp(i w (t_b - t_0)) for each
+    tone w (sum and difference) give the factor at the split time t_aB +
+    (t_b - t_0) as F = (cs Re R1C1 + cq Re R2C2) + i (ds Im R1C1 + dq Im R2C2).
+    Over a chunk, F viewed as interleaved floats is the rank-4 real product
+    U V, with U = [Re R1, Im R1, Re R2, Im R2] (rows x 4) and V the four
+    weighted column rows (cs Re C, ds Im C) and (-cs Im C, ds Re C) of tone
+    1, then those of tone 2 with (cq, dq) (4 x 2B).  Stacking U' (the same
+    columns of i w R) below U makes one BLAS call give F and its time
+    derivative G.  Two corrections keep every phase at w t_j to double
+    precision: the row phases' rounding, shared by a whole row, is put back
+    exactly as the factor 1 + i miss (_product_error), and the split's miss
+    delta_j enters as F + delta_j G, which is F at t_j to double precision
+    since routing bounds |w delta_j| by 1e-9.
 
-    Everything smaller than a chunk (tones, row phases and their miss, row
-    and column tables, the interleaved weight rows (cs, ds) and (cq, dq))
-    is built for _GROUP modes at a time, one numpy call per group.  The
-    per-mode loop then makes only chunk-sized calls, which release the GIL,
-    so branch and lambda threads do not queue on each other's bookkeeping;
-    every element sees the same operations in the same order as a loop
-    that builds each mode's tables alone.  Every array of a grid's size
-    lives in workspace; the product fills its output.
+    U, U' and V are built for _GROUP modes at a time, a few numpy calls per
+    group (V once per group, U and U' per chunk).  The per-mode loop then
+    makes only chunk-sized calls, which release the GIL, so branch and
+    lambda threads do not queue on each other's bookkeeping: the product,
+    G *= delta, F += G and acc *= F.  Every element sees the same
+    operations in the same order as a loop that builds each mode's tables
+    alone.  Every array of a grid's size lives in workspace; the product
+    fills its output.
     """
-    out, z1, z2, shift = workspace
-    # (mode, tone, 1) and (mode, tone, 1, (cos, sin) weight) for tones (sum, dif)
-    tone_pairs = np.stack(tones, axis=1)[:, :, None]
-    weight_pairs = np.stack(weights, axis=1).reshape(-1, 2, 1, 2)
-    for start, coarse, coarse_split, delta in plan.chunks:
-        r = coarse.size
-        acc = out[start : start + r]
-        acc[...] = 1.0
-        z1c, z2c, shift_c = z1[:r], z2[:r], shift[:r]
-        z1_flat, z2_flat = z1c.view(float), z2c.view(float)
-        shift_c.real = 1.0
-        for g in range(0, tone_pairs.shape[0], _GROUP):
-            w = tone_pairs[g : g + _GROUP]
+    out, fg = workspace
+    out[...] = 1.0
+    # (mode, tone, 1) for tones (sum, dif), and their cos and sin weights
+    tone_pairs, cos_w, sin_w = (
+        np.stack(pair, axis=1)[:, :, None] for pair in (tones, weights[0::2], weights[1::2])
+    )
+    flip = np.array([-1.0, 1.0])
+    # V as (mode, tone, pair row, column, (re, im) slot), one buffer for all
+    # groups: pair row 1 holds the phases w (t_b - t_0) until row 0 holds C.
+    # Every call runs along the 512 columns: one whose innermost axis is the
+    # 2-long (re, im) slot cost a sixth of the whole kernel
+    v_groups = np.empty((_GROUP, 2, 2, _BLOCK, 2))
+    for first in range(0, tone_pairs.shape[0], _GROUP):
+        w = tone_pairs[first : first + _GROUP]
+        cs, ds = cos_w[first : first + _GROUP], sin_w[first : first + _GROUP]
+        modes = w.shape[0]
+        v = v_groups[:modes]
+        columns = v[:, :, 0].view(complex)[..., 0]
+        np.multiply(1j, np.multiply(w, plan.fine, out=v[:, :, 1, :, 0]), out=columns)
+        np.exp(columns, out=columns)
+        re, im = v[:, :, 0, :, 0], v[:, :, 0, :, 1]
+        np.multiply(im, -cs, out=v[:, :, 1, :, 0])
+        np.multiply(re, ds, out=v[:, :, 1, :, 1])
+        re *= cs
+        im *= ds
+        v = v.reshape(modes, 4, 2 * _BLOCK)
+        # (mode, 1, tone, 1): w * (-1, 1) scales (Im R, Re R) to i w R
+        w_slot = w.reshape(modes, 1, 2, 1) * flip
+        for start, coarse, coarse_split, delta in plan.chunks:
+            r = coarse.size
+            acc = out[start : start + r]
+            f, g = fg[:r], fg[r : 2 * r]
+            fg_flat, g_flat = fg[: 2 * r].view(float), g.view(float)
             phase = w * coarse
             miss = _product_error(_veltkamp_split(w), coarse_split, phase)
             rows = np.exp(1j * phase) * (1.0 + 1j * miss)
-            columns = np.exp(1j * (w * plan.fine))
-            weight_rows = np.repeat(weight_pairs[g : g + _GROUP], _BLOCK, axis=2)
-            weight_rows = weight_rows.reshape(-1, 2, 2 * _BLOCK)
-            for m in range(w.shape[0]):  # ascending k
-                for z, row, column, tone in zip((z1c, z2c), rows[m], columns[m], w[m, :, 0]):
-                    np.multiply(row[:, None], column, out=z)
-                    np.multiply(delta, tone, out=shift_c.imag)
-                    z *= shift_c
-                z1_flat *= weight_rows[m, 0]
-                z2_flat *= weight_rows[m, 1]
-                z1_flat += z2_flat
-                acc *= z1c
+            # U above U' as (mode, (value, derivative), row, tone, (re, im))
+            u = np.empty((modes, 2, r, 2, 2))
+            u[:, 0] = rows.view(float).reshape(modes, 2, r, 2).transpose(0, 2, 1, 3)
+            np.multiply(u[:, 0, :, :, ::-1], w_slot, out=u[:, 1])
+            u = u.reshape(modes, 2 * r, 4)
+            for m in range(modes):  # ascending k
+                np.matmul(u[m], v[m], out=fg_flat)
+                g_flat *= delta
+                f += g
+                acc *= f
     return out.reshape(-1)[: plan.size]
 
 

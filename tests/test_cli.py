@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -189,6 +190,54 @@ class TestCorrelationCommand:
         first = path.read_bytes()
         runner.invoke(main, ["correlation", "--config", str(cfg_path)])
         assert path.read_bytes() == first
+
+    def test_blas_threads_do_not_change_output(self, tmp_path):
+        # each mode's echo factor over a chunk of r rows is one (2r x 4) by
+        # (4 x 1024) BLAS product, which OpenBLAS may split over its threads
+        # depending on its size and kernel.  The CLI's 2^15-sample grid has
+        # 33-row chunks; a 65024-sample grid has one 127-row chunk, large
+        # enough to be split even by kernels that keep the CLI's products on
+        # one thread.  A process reads its BLAS thread count at start-up, so
+        # every run is a child.
+        cfg = {
+            "chain": {"n_sites": 16, "lambda": 0.5, "g_over_b": 0.1, "gamma_over_b": 0.02},
+            "probe": COHERENT_PROBE,
+        }
+        params, state = parse_chain(cfg), parse_probe(cfg)
+        table = build_mode_table(params, n_max=state.n_max)
+        assert auto_time_grid(params, table, state).n_samples == 1 << 15
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        echo = (
+            "import hashlib, sys, numpy as np\n"
+            "from isingspec import ChainParams, build_mode_table, coherent_state, weighted_echo\n"
+            "p = ChainParams(n_sites=16, lam=0.5, g_over_b=0.1, gamma_over_b=0.0)\n"
+            "state = coherent_state(1.0)\n"
+            "table = build_mode_table(p, n_max=state.n_max)\n"
+            "s = weighted_echo(table, state, np.arange(65024) * 0.1, int(sys.argv[1]))\n"
+            "print(hashlib.sha256(s.tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH", "")) if p)
+
+        def child(blas, *args):
+            proc = subprocess.run(
+                [sys.executable, "-c", *args], capture_output=True, text=True,
+                timeout=120, env=dict(env, OPENBLAS_NUM_THREADS=blas),
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        runs = []
+        for blas in ("1", "2"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"blas{blas}_threads{threads}"
+                child(blas, "from isingspec.cli import main; main()", "correlation",
+                      "--config", str(cfg_path), "--out", str(out), "--threads", threads)
+                files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+                runs.append((files, child(blas, echo, threads)))
+        assert set(runs[0][0]) == {"correlation_lambda_0.5.csv"}
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestSpectrumCommand:

@@ -49,35 +49,34 @@ def loop_reference(table, n, t):
 def per_mode_block_reference(weights, tones, plan):
     """The block product with every table built one mode at a time.
 
-    A copy of the kernel's loop before its tables were built per group of
-    modes: the grouped kernel must give these bits exactly.
+    Per mode, U above U' (rows x 4: Re R, Im R of each tone, then those of
+    i w R) and V (4 x 1024: the weighted column rows of each tone) are
+    built alone, and one product gives F above G = dF/dt: the grouped
+    kernel must give these bits exactly.
     """
-    cs, ds, cq, dq = weights
-    eps_sum, eps_dif = tones
-    out, z1, z2, shift = plan.workspace()
-    w1, w2 = np.empty((512, 2)), np.empty((512, 2))
-    w1_flat, w2_flat = w1.reshape(-1), w2.reshape(-1)
-    for start, coarse, coarse_split, delta in plan.chunks:
-        r = coarse.size
-        acc = out[start : start + r]
-        acc[...] = 1.0
-        z1c, z2c, shift_c = z1[:r], z2[:r], shift[:r]
-        z1_flat, z2_flat = z1c.view(float), z2c.view(float)
-        shift_c.real = 1.0
-        for j in range(eps_sum.size):
-            for w, z in ((eps_sum[j], z1c), (eps_dif[j], z2c)):
+    out, fg = plan.workspace()
+    out[...] = 1.0
+    for j in range(tones[0].size):
+        pairs = [(w[j], c[j], s[j]) for w, c, s in zip(tones, weights[::2], weights[1::2])]
+        v = np.empty((4, 1024))
+        for i, (w, c, s) in enumerate(pairs):
+            column = np.exp(1j * (w * plan.fine))
+            v[2 * i, 0::2], v[2 * i, 1::2] = c * column.real, s * column.imag
+            v[2 * i + 1, 0::2], v[2 * i + 1, 1::2] = -c * column.imag, s * column.real
+        for start, coarse, coarse_split, delta in plan.chunks:
+            r = coarse.size
+            u = np.empty((2 * r, 4))
+            for i, (w, c, s) in enumerate(pairs):
                 phase = w * coarse
                 miss = _product_error(_veltkamp_split(float(w)), coarse_split, phase)
                 row = np.exp(1j * phase) * (1.0 + 1j * miss)
-                np.multiply(row[:, None], np.exp(1j * (w * plan.fine)), out=z)
-                np.multiply(delta, w, out=shift_c.imag)
-                z *= shift_c
-            w1[:, 0], w1[:, 1] = cs[j], ds[j]
-            w2[:, 0], w2[:, 1] = cq[j], dq[j]
-            z1_flat *= w1_flat
-            z2_flat *= w2_flat
-            z1_flat += z2_flat
-            acc *= z1c
+                u[:r, 2 * i], u[:r, 2 * i + 1] = row.real, row.imag
+                u[r:, 2 * i], u[r:, 2 * i + 1] = -w * row.imag, w * row.real
+            f, g = fg[:r], fg[r : 2 * r]
+            np.matmul(u, v, out=fg[: 2 * r].view(float))
+            np.multiply(g.view(float), delta, out=g.view(float))
+            f += g
+            out[start : start + r] *= f
     return out.reshape(-1)[: plan.size]
 
 
