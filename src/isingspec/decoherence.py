@@ -34,10 +34,8 @@ MAX_ENUMERABLE_MODES = 14
 _CHUNK = 1 << 15
 # modes whose block-product tables are built together
 _GROUP = 8
-# 1-D grids of _BLOCK_MIN or more samples whose split t_aB + (t_b - t_0),
-# j = a B + b, misses every t_j by a phase under _SPLIT_TOLERANCE take the
-# block-factorized product
-_BLOCK, _BLOCK_MIN, _SPLIT_TOLERANCE = 512, 2048, 1e-9
+# uniform plans of _BLOCK_MIN or more samples take the block product, in rows of _BLOCK
+_BLOCK, _BLOCK_MIN = 512, 2048
 # Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
 _SPLITTER = 134217729.0
 
@@ -112,87 +110,85 @@ def _branch_pair(table: ModeTable, n: int):
 class GridPlan:
     """What decoherence_factor decides about a time grid once, for every branch.
 
-    Build it with grid_plan(t) and pass it to decoherence_factor in place of
-    t.  samples is t as a flat float array and shape the shape of t, () for
-    a scalar.  A 1-D t of at least 2048 samples carries its block split:
-    split_miss is max |delta_j| over the grid, fine the column offsets
-    t_b - t_0, and chunks one (first row, coarse row times t_aB, their
-    Veltkamp split, delta) per chunk of chunk_rows rows, with each delta_j
-    twice, once per float of a complex sample.  Any other t has no chunks
-    and an infinite split_miss, so every branch takes mode_factor.
+    Pass it to decoherence_factor in place of t.  grid_plan(t) holds t as
+    flat float samples and its shape, () for a scalar; every branch takes
+    mode_factor there.  uniform_plan(start, step, count) of 2048 samples or
+    more holds no samples, only the block split of its nominal times start
+    + j step: columns (b step, its Veltkamp split, its miss) for the 512
+    columns b, and chunks one (first row, row times T_a, their Veltkamp
+    split, misses e_a) per chunk of chunk_rows rows.
     """
 
-    samples: np.ndarray
     shape: tuple[int, ...]
-    split_miss: float = math.inf
-    fine: np.ndarray | None = None
+    samples: np.ndarray | None = None
+    start: float = 0.0
+    step: float = 0.0
+    columns: tuple = ()
     chunks: tuple = ()
     chunk_rows: int = 0
 
     @property
     def size(self) -> int:
         """Number of samples, as np.size(t) counts them."""
-        return self.samples.size
+        return math.prod(self.shape)
 
-    def takes_block(self, table: ModeTable, n: int) -> bool:
-        """Branch pair (n, n-1) takes the block product on this grid.
-
-        The split must miss every sample by a phase under 1e-9 at the
-        largest tone; energies are non-negative, so the sum tone bounds both.
-        """
-        omega = float(np.max(table.epsilon[n] + table.epsilon[n - 1]))
-        return self.split_miss * omega < _SPLIT_TOLERANCE
+    def times(self) -> np.ndarray:
+        """The float times as a flat array: samples, or start + j step."""
+        if self.samples is None:
+            return self.start + np.arange(self.size) * self.step
+        return self.samples
 
     def workspace(self):
-        """Buffers of one block-product call: output and fg.
+        """Buffers of one block-product call: output and f, one allocation.
 
         Allocate one per thread that runs branches, on the thread that
         sums them: decoherence_factor writes its result into the output
-        buffer and returns a view of it, valid until the next call that is
-        given this workspace.  fg holds 2 chunk_rows rows, a mode's factor
-        F over a chunk above its time derivative G.  The per-group tables
-        of _block_product are smaller than a chunk and are not part of it.
+        buffer and returns a view of it, valid until the next call given
+        this workspace.  f holds a mode's factor over a chunk.
         """
         rows = -(-self.size // _BLOCK)
-        return (
-            np.empty((rows, _BLOCK), dtype=complex),
-            np.empty((2 * self.chunk_rows, _BLOCK), dtype=complex),
-        )
+        buffer = np.empty((rows + self.chunk_rows, _BLOCK), dtype=complex)
+        return buffer[:rows], buffer[rows:]
 
 
 def grid_plan(t) -> GridPlan:
-    """The routing and block split of time grid t, shared by every branch pair.
+    """The plan of times t, on which every branch takes mode_factor; t if it is a plan."""
+    if isinstance(t, GridPlan):
+        return t
+    return GridPlan(np.shape(t), np.asarray(t, dtype=float).reshape(-1))
 
-    The split of a 1-D t of at least 2048 samples is computed in chunks of
-    about 2^15 samples (a short tail joins the last chunk) and kept.  Its
-    miss delta_j = t_j - (t_aB + (t_b - t_0)) carries one rounding: the
-    rounded sum s and its two-sum error are exact, and so is t_j - s
-    wherever t_j and s agree to within a factor of two.  Past the last
-    sample t_j reads s (padding only).
+
+def uniform_plan(start: float, step: float, count: int) -> GridPlan:
+    """The plan of the nominal times start + j step, j = 0 .. count - 1.
+
+    Under 2048 samples it is grid_plan(start + np.arange(count) * step).
+    From 2048 on, the times split into rows of 512 samples, in chunks of
+    about 2^15 samples (a short tail joins the last chunk), and each part
+    is a float and its exact miss: b step by TwoProduct, start + a 512 step
+    by TwoProduct and TwoSum.
     """
-    shape = np.shape(t)
-    samples = np.asarray(t, dtype=float).reshape(-1)
-    if len(shape) != 1 or samples.size < _BLOCK_MIN:
-        return GridPlan(samples, shape)
-    rows = -(-samples.size // _BLOCK)
+    if count < _BLOCK_MIN:
+        return grid_plan(start + np.arange(count) * step)
+    rows = -(-count // _BLOCK)
     chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
-    fine = samples[:_BLOCK] - samples[0]
-    chunks = []
-    for start in range(0, rows, chunk_rows):
-        times = samples[start * _BLOCK : (start + chunk_rows) * _BLOCK]
-        coarse = times[::_BLOCK]
-        s = coarse[:, None] + fine
-        fine_part = s - coarse[:, None]
-        # delta_j = (t_j - s) - (two-sum error of s), formed in place so that
-        # few chunk-sized temporaries are alive at once
-        delta = s.copy()
-        delta.reshape(-1)[: times.size] = times
-        delta -= s
-        delta -= (coarse[:, None] - (s - fine_part)) + (fine - fine_part)
-        chunks.append((start, coarse, _veltkamp_split(coarse), np.repeat(delta, 2, axis=1)))
-    # np.max, not max(): a NaN miss anywhere must route every branch off the split
-    split_miss = float(np.max([np.max(np.abs(chunk[3])) for chunk in chunks]))
-    return GridPlan(samples, shape, split_miss, fine, tuple(chunks), chunk_rows)
+    step_split = _veltkamp_split(step)
+
+    def scaled(multiples):  # multiples step, rounded, and its miss
+        product = multiples * step
+        return product, _product_error(_veltkamp_split(multiples), step_split, product)
+
+    fine, fine_miss = scaled(np.arange(_BLOCK, dtype=float))
+    offsets, offset_miss = scaled(np.arange(0, rows * _BLOCK, _BLOCK, dtype=float))
+    coarse = start + offsets
+    part = coarse - start  # Knuth's TwoSum: start + offsets - coarse, exactly
+    coarse_miss = (start - (coarse - part)) + (offsets - part) + offset_miss
+    chunks = tuple(
+        (a, coarse[a : a + chunk_rows], _veltkamp_split(coarse[a : a + chunk_rows]),
+         coarse_miss[a : a + chunk_rows])
+        for a in range(0, rows, chunk_rows)
+    )
+    columns = (fine, _veltkamp_split(fine), fine_miss)
+    return GridPlan((count,), None, start, step, columns, chunks, chunk_rows)
 
 
 def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
@@ -200,21 +196,18 @@ def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
 
     The per-momentum factors are multiplied in ascending-k order regardless
     of how callers parallelize over time samples, so outputs are bitwise
-    reproducible.  A 1-D t of at least 2048 samples whose split t_aB +
-    (t_b - t_0), j = aB + b, misses every sample by max|delta| max|w| < 1e-9
-    takes a block-factorized product that agrees with mode_factor to
-    rounding; any other t (short, multi-dimensional, scalar or irregular)
-    takes mode_factor itself, broadcast over modes and time chunks.
-    Magnitudes below 1e-300 are flushed to exactly zero.
-
-    t may also be grid_plan(t), for callers that evaluate several branches
-    on one grid.  workspace, from plan.workspace(), holds the block
-    product's buffers: the result is then written into it and returned as a
-    view (see GridPlan.workspace).  Neither changes a bit of the result.
+    reproducible.  t is times (any shape) or a GridPlan, for callers that
+    evaluate several branches on one grid.  A uniform_plan of 2048 samples
+    or more takes a block-factorized product at its nominal times start +
+    j step; any other t takes mode_factor itself at its float times,
+    broadcast over modes and time chunks.  Magnitudes below 1e-300 are
+    flushed to exactly zero.  workspace, from plan.workspace(), holds the
+    block product's buffers: the result is written into it and returned as
+    a view.  It does not change a bit of the result.
     """
     coeffs, eps_n, eps_p = _branch_pair(table, n)
-    plan = t if isinstance(t, GridPlan) else grid_plan(t)
-    if plan.takes_block(table, n):
+    plan = grid_plan(t)
+    if plan.chunks:
         weights = _channel_sums(coeffs)
         tones = (eps_n + eps_p, eps_n - eps_p)
         out = _block_product(weights, tones, plan, workspace or plan.workspace())
@@ -227,7 +220,9 @@ def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
 def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.ndarray:
     """mode_factor on (modes x time chunk), _CHUNK mode-samples a call; ascending k."""
     out = np.ones(t.shape, dtype=complex)
-    width = max(1, min(t.size, _CHUNK))
+    # even chunks: numpy's in-place complex multiply can round the last bit
+    # of a one-element array differently from a longer one's
+    width = max(1, -(-t.size // max(1, -(-t.size // _CHUNK))))
     group = _CHUNK // width
     fields = astuple(coeffs)
     for k in range(0, eps_n.size, group):
@@ -241,79 +236,78 @@ def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.n
     return out
 
 
-def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
-    """Per-mode product on a near-uniform 1-D grid, block by block.
+def _phase_table(w, w_split, times, times_split, times_miss, out):
+    """exp(i w (times + times_miss)) to double precision into complex out.
 
-    Sample j = a B + b sits at row a, column b.  Per mode, a row table
-    R = exp(i w t_aB) and a column table C = exp(i w (t_b - t_0)) for each
-    tone w (sum and difference) give the factor at the split time t_aB +
-    (t_b - t_0) as F = (cs Re R1C1 + cq Re R2C2) + i (ds Im R1C1 + dq Im R2C2).
-    Over a chunk, F viewed as interleaved floats is the rank-4 real product
-    U V, with U = [Re R1, Im R1, Re R2, Im R2] (rows x 4) and V the four
-    weighted column rows (cs Re C, ds Im C) and (-cs Im C, ds Re C) of tone
-    1, then those of tone 2 with (cq, dq) (4 x 2B).  Stacking U' (the same
-    columns of i w R) below U makes one BLAS call give F and its time
-    derivative G.  Two corrections keep every phase at w t_j to double
-    precision: the row phases' rounding, shared by a whole row, is put back
-    exactly as the factor 1 + i miss (_product_error), and the split's miss
-    delta_j enters as F + delta_j G, which is F at t_j to double precision
-    since routing bounds |w delta_j| by 1e-9.
-
-    U, U' and V are built for _GROUP modes at a time, a few numpy calls per
-    group (V once per group, U and U' per chunk).  The per-mode loop then
-    makes only chunk-sized calls, which release the GIL, so branch and
-    lambda threads do not queue on each other's bookkeeping: the product,
-    G *= delta, F += G and acc *= F.  Every element sees the same
-    operations in the same order as a loop that builds each mode's tables
-    alone.  Every array of a grid's size lives in workspace; the product
-    fills its output.
+    w holds the tones as (mode, tone, 1).  fl(w times) rounds once; that
+    rounding and w times_miss come back as the factor 1 + i miss, which
+    scales out's real and imaginary parts in place: no complex temporary.
     """
-    out, fg = workspace
+    phase = w * times
+    miss = _product_error(w_split, times_split, phase)
+    miss += w * times_miss
+    np.exp(np.multiply(1j, phase, out=out), out=out)
+    re, im = out.real, out.imag
+    re_miss = re * miss
+    re -= im * miss
+    im += re_miss
+
+
+def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
+    """Per-mode product on a uniform plan's nominal times, block by block.
+
+    Sample j = a B + b sits at row a, column b, at the time start + a B step
+    + b step.  Per mode, a row table R = exp(i w (T_a + e_a)) and a column
+    table C = exp(i w b step) for each tone w (sum and difference), both to
+    double precision (_phase_table), give the factor as F = (cs Re R1C1 +
+    cq Re R2C2) + i (ds Im R1C1 + dq Im R2C2).  Over a chunk, F viewed as
+    interleaved floats is the rank-4 real product U V, with U = [Re R1,
+    Im R1, Re R2, Im R2] (rows x 4) and V the four weighted column rows
+    (cs Re C, ds Im C) and (-cs Im C, ds Re C) of tone 1, then those of
+    tone 2 with (cq, dq) (4 x 2B).
+
+    U and V are built for _GROUP modes at a time, a few numpy calls per
+    group (V once per group, U per chunk).  The per-mode loop then makes
+    only chunk-sized calls, which release the GIL, so branch and lambda
+    threads do not queue on each other's bookkeeping: the product and acc
+    *= F.  Every element sees the same operations in the same order as a
+    loop that builds each mode's tables alone.  Every array of a grid's
+    size lives in workspace; the product fills its output.
+    """
+    out, f = workspace
     out[...] = 1.0
     # (mode, tone, 1) for tones (sum, dif), and their cos and sin weights
     tone_pairs, cos_w, sin_w = (
         np.stack(pair, axis=1)[:, :, None] for pair in (tones, weights[0::2], weights[1::2])
     )
-    flip = np.array([-1.0, 1.0])
     # V as (mode, tone, pair row, column, (re, im) slot), one buffer for all
-    # groups: pair row 1 holds the phases w (t_b - t_0) until row 0 holds C.
-    # Every call runs along the 512 columns: one whose innermost axis is the
-    # 2-long (re, im) slot cost a sixth of the whole kernel
+    # groups: pair row 0 holds C as complex until it is weighted.  Every call
+    # runs along the 512 columns: one whose innermost axis is the 2-long
+    # (re, im) slot cost a sixth of the whole kernel
     v_groups = np.empty((_GROUP, 2, 2, _BLOCK, 2))
     for first in range(0, tone_pairs.shape[0], _GROUP):
         w = tone_pairs[first : first + _GROUP]
+        w_split = _veltkamp_split(w)
         cs, ds = cos_w[first : first + _GROUP], sin_w[first : first + _GROUP]
         modes = w.shape[0]
         v = v_groups[:modes]
-        columns = v[:, :, 0].view(complex)[..., 0]
-        np.multiply(1j, np.multiply(w, plan.fine, out=v[:, :, 1, :, 0]), out=columns)
-        np.exp(columns, out=columns)
+        _phase_table(w, w_split, *plan.columns, out=v[:, :, 0].view(complex)[..., 0])
         re, im = v[:, :, 0, :, 0], v[:, :, 0, :, 1]
         np.multiply(im, -cs, out=v[:, :, 1, :, 0])
         np.multiply(re, ds, out=v[:, :, 1, :, 1])
         re *= cs
         im *= ds
         v = v.reshape(modes, 4, 2 * _BLOCK)
-        # (mode, 1, tone, 1): w * (-1, 1) scales (Im R, Re R) to i w R
-        w_slot = w.reshape(modes, 1, 2, 1) * flip
-        for start, coarse, coarse_split, delta in plan.chunks:
+        for start, coarse, coarse_split, coarse_miss in plan.chunks:
             r = coarse.size
-            acc = out[start : start + r]
-            f, g = fg[:r], fg[r : 2 * r]
-            fg_flat, g_flat = fg[: 2 * r].view(float), g.view(float)
-            phase = w * coarse
-            miss = _product_error(_veltkamp_split(w), coarse_split, phase)
-            rows = np.exp(1j * phase) * (1.0 + 1j * miss)
-            # U above U' as (mode, (value, derivative), row, tone, (re, im))
-            u = np.empty((modes, 2, r, 2, 2))
-            u[:, 0] = rows.view(float).reshape(modes, 2, r, 2).transpose(0, 2, 1, 3)
-            np.multiply(u[:, 0, :, :, ::-1], w_slot, out=u[:, 1])
-            u = u.reshape(modes, 2 * r, 4)
+            acc, f_r = out[start : start + r], f[:r]
+            rows = np.empty((modes, 2, r), dtype=complex)
+            _phase_table(w, w_split, coarse, coarse_split, coarse_miss, out=rows)
+            # U as (mode, row, (tone, (re, im)))
+            u = rows.view(float).reshape(modes, 2, r, 2).swapaxes(1, 2).reshape(modes, r, 4)
             for m in range(modes):  # ascending k
-                np.matmul(u[m], v[m], out=fg_flat)
-                g_flat *= delta
-                f += g
-                acc *= f
+                np.matmul(u[m], v[m], out=f_r.view(float))
+                acc *= f_r
     return out.reshape(-1)[: plan.size]
 
 

@@ -24,6 +24,7 @@ from .decoherence import (
     enumerate_lines,
     grid_plan,
     mode_coefficients,
+    uniform_plan,
 )
 from .errors import CapacityError, ConfigError, DegenerateInputError, NumericsError
 from .params import ChainParams
@@ -132,16 +133,16 @@ def _threads(count: int) -> int:
 def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
     """sum_n n |c_n|^2 D_{n,n-1}(t) over the populated branches, in ascending n.
 
-    This is S(t) without the exp(-Gamma |t|) envelope; t is an array.  The
-    grid's routing and block split are decided once for all branches.  On a
-    grid where every branch takes the block product, up to threads branches
-    (0: the CPUs this process may use) are computed at a time: the calling
-    thread takes the first of each round and one helper thread each of the
-    rest, into buffers the calling thread allocates, under the caller's
-    numpy error state.  The sum is taken in ascending n all the same, so the
-    result has the same bits at any threads.  A single branch, threads=1,
-    and a short, irregular or scalar t run on the calling thread alone; a
-    probe with no populated branch gets zeros without a grid plan.
+    This is S(t) without the exp(-Gamma |t|) envelope; t is an array or a
+    GridPlan (see decoherence_factor), planned once for all branches.  On a
+    plan that takes the block product, up to threads branches (0: the CPUs
+    this process may use) are computed at a time: the calling thread takes
+    the first of each round and one helper thread each of the rest, into
+    buffers the calling thread allocates, under the caller's numpy error
+    state.  The sum is taken in ascending n all the same, so the result has
+    the same bits at any threads.  A single branch, threads=1, and any grid
+    that takes mode_factor run on the calling thread alone; a probe with no
+    populated branch gets zeros without a grid plan.
     """
     branches = list(_populated_branches(table, state).items())
     acc = np.zeros(np.shape(t), dtype=complex)
@@ -149,7 +150,7 @@ def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
         return acc
     plan = grid_plan(t)
     workers = min(_threads(threads), len(branches))
-    if all(plan.takes_block(table, n) for n, _ in branches):
+    if plan.chunks:
         workspaces = [plan.workspace() for _ in range(workers)]
     else:
         workers, workspaces = 1, [None]
@@ -283,7 +284,9 @@ def correlation_series(
     # phases omega * t past the float range overflow to inf and then NaN;
     # the finiteness check below reports that as one NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
-        positive = weighted_echo(table, state, half, threads)
+        # the echo at the nominal times j dt; a vacuum probe needs no plan
+        grid = uniform_plan(0.0, dt, half.size) if _populated_branches(table, state) else half
+        positive = weighted_echo(table, state, grid, threads)
         positive *= np.exp(-params.gamma_over_b * half)
     if not np.isfinite(positive).all():
         raise NumericsError(f"S(t) is not finite at lambda={params.lam:g} on t_max={t_max:g}")
@@ -311,12 +314,12 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
     dt = 2.0 * series.t_max / m
     signal = np.array(series.values)
     signal[0] = signal[0].real
+    raw = np.fft.fft(signal)
+    del signal  # one grid-sized temporary at a time: two lambda threads may overlap here
     phases = np.full(m, dt)  # dt exp(i omega_l t_max) = +-dt
     phases[1::2] = -dt
-    raw = phases * np.fft.fft(signal)
-    del signal, phases
+    raw *= phases
     frequencies = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(m, d=dt))
-    raw = np.fft.fftshift(raw)
 
     peak = float(np.max(np.abs(raw.real)))
     residual = float(np.max(np.abs(raw.imag)) / peak) if peak != 0.0 else 0.0
@@ -325,7 +328,7 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
             f"imaginary residue {residual:.3e} of the transform exceeds "
             f"{_IMAG_RESIDUAL_LIMIT:g} of the peak; the time grid is unsound"
         )
-    values = raw.real
+    values = np.fft.fftshift(raw.real)
     frequencies.setflags(write=False)
     values.setflags(write=False)
     return Spectrum(frequencies=frequencies, values=values, imag_residual=residual)
@@ -564,15 +567,16 @@ def threshold_crossing_time(
         1.2 * math.log(1.0 / _CROSSING_THRESHOLD) / gamma if gamma > 0.0 else 2000.0
     )
 
-    def ratio(ts: np.ndarray) -> np.ndarray:
-        return np.abs(weighted_echo(table, state, ts)) * np.exp(-gamma * ts) / s0
+    def ratio(plan) -> np.ndarray:
+        return np.abs(weighted_echo(table, state, plan)) * np.exp(-gamma * plan.times()) / s0
 
-    # each segment on its own: both are near-uniform, so the head and a tail
-    # of 2048 samples or more (horizon past ~225) take the block echo path
+    # each segment as a uniform plan: the head and a tail of 2048 samples or
+    # more (horizon past ~225) take the block echo path
     split = min(20.0, horizon)
-    segments = [np.arange(0.0, split, 0.005), np.arange(split, horizon, 0.1)]
-    ts = np.concatenate(segments)
-    r = np.concatenate([ratio(segment) for segment in segments])
+    segments = ((0.0, split, 0.005), (split, horizon, 0.1))  # np.arange's counts
+    plans = [uniform_plan(a, step, max(0, math.ceil((b - a) / step))) for a, b, step in segments]
+    ts = np.concatenate([plan.times() for plan in plans])
+    r = np.concatenate([ratio(plan) for plan in plans])
     below = np.nonzero(r < _CROSSING_THRESHOLD)[0]
     if below.size == 0:
         return math.inf
@@ -580,7 +584,7 @@ def threshold_crossing_time(
     lo, hi = float(ts[i - 1]), float(ts[i])
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:  # until lo and hi are neighbouring floats
-        if float(ratio(np.array([mid]))[0]) < _CROSSING_THRESHOLD:
+        if float(ratio(grid_plan(np.array([mid])))[0]) < _CROSSING_THRESHOLD:
             hi = mid
         else:
             lo = mid

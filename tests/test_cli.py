@@ -192,13 +192,15 @@ class TestCorrelationCommand:
         assert path.read_bytes() == first
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
-        # each mode's echo factor over a chunk of r rows is one (2r x 4) by
+        # each mode's echo factor over a chunk of r rows is one (r x 4) by
         # (4 x 1024) BLAS product, which OpenBLAS may split over its threads
         # depending on its size and kernel.  The CLI's 2^15-sample grid has
-        # 33-row chunks; a 65024-sample grid has one 127-row chunk, large
-        # enough to be split even by kernels that keep the CLI's products on
-        # one thread.  A process reads its BLAS thread count at start-up, so
-        # every run is a child.
+        # 33-row chunks; the uniform plan of 65024 samples has one 127-row
+        # chunk, the most any grid has.  OpenBLAS 0.3.31 (SkylakeX kernel)
+        # keeps products of up to about 240 rows on one thread, so with it no
+        # grid reaches a second BLAS thread; other kernels may split sooner.
+        # A process reads its BLAS thread count at start-up, so every run is
+        # a child.
         cfg = {
             "chain": {"n_sites": 16, "lambda": 0.5, "g_over_b": 0.1, "gamma_over_b": 0.02},
             "probe": COHERENT_PROBE,
@@ -211,10 +213,11 @@ class TestCorrelationCommand:
         echo = (
             "import hashlib, sys, numpy as np\n"
             "from isingspec import ChainParams, build_mode_table, coherent_state, weighted_echo\n"
+            "from isingspec.decoherence import uniform_plan\n"
             "p = ChainParams(n_sites=16, lam=0.5, g_over_b=0.1, gamma_over_b=0.0)\n"
             "state = coherent_state(1.0)\n"
             "table = build_mode_table(p, n_max=state.n_max)\n"
-            "s = weighted_echo(table, state, np.arange(65024) * 0.1, int(sys.argv[1]))\n"
+            "s = weighted_echo(table, state, uniform_plan(0.0, 0.1, 65024), int(sys.argv[1]))\n"
             "print(hashlib.sha256(s.tobytes()).hexdigest())\n"
         )
         env = dict(os.environ)

@@ -19,11 +19,13 @@ from isingspec import (
     oracle_mode_factor,
 )
 from isingspec.decoherence import (
+    GridPlan,
     _block_product,
     _channel_sums,
     _product_error,
     _veltkamp_split,
     grid_plan,
+    uniform_plan,
 )
 
 
@@ -49,34 +51,38 @@ def loop_reference(table, n, t):
 def per_mode_block_reference(weights, tones, plan):
     """The block product with every table built one mode at a time.
 
-    Per mode, U above U' (rows x 4: Re R, Im R of each tone, then those of
-    i w R) and V (4 x 1024: the weighted column rows of each tone) are
-    built alone, and one product gives F above G = dF/dt: the grouped
-    kernel must give these bits exactly.
+    Per mode, U (rows x 4: Re R, Im R of each tone) and V (4 x 1024: the
+    weighted column rows of each tone) are built alone, from tables
+    exp(i w (x + e)) = exp(i fl(w x)) (1 + i (w x - fl(w x) + w e)) of the
+    row and column times x and their misses e, and one product gives the
+    factor F: the grouped kernel must give these bits exactly.
     """
-    out, fg = plan.workspace()
+    out, f = plan.workspace()
     out[...] = 1.0
+
+    def table(w, times, times_split, times_miss):
+        phase = w * times
+        miss = _product_error(_veltkamp_split(w), times_split, phase) + w * times_miss
+        e = np.exp(1j * phase)
+        result = np.empty(phase.shape, dtype=complex)
+        result.real, result.imag = e.real - e.imag * miss, e.imag + e.real * miss
+        return result
+
     for j in range(tones[0].size):
-        pairs = [(w[j], c[j], s[j]) for w, c, s in zip(tones, weights[::2], weights[1::2])]
+        pairs = [(float(w[j]), c[j], s[j]) for w, c, s in zip(tones, weights[::2], weights[1::2])]
         v = np.empty((4, 1024))
         for i, (w, c, s) in enumerate(pairs):
-            column = np.exp(1j * (w * plan.fine))
+            column = table(w, *plan.columns)
             v[2 * i, 0::2], v[2 * i, 1::2] = c * column.real, s * column.imag
             v[2 * i + 1, 0::2], v[2 * i + 1, 1::2] = -c * column.imag, s * column.real
-        for start, coarse, coarse_split, delta in plan.chunks:
+        for start, coarse, coarse_split, coarse_miss in plan.chunks:
             r = coarse.size
-            u = np.empty((2 * r, 4))
+            u = np.empty((r, 4))
             for i, (w, c, s) in enumerate(pairs):
-                phase = w * coarse
-                miss = _product_error(_veltkamp_split(float(w)), coarse_split, phase)
-                row = np.exp(1j * phase) * (1.0 + 1j * miss)
-                u[:r, 2 * i], u[:r, 2 * i + 1] = row.real, row.imag
-                u[r:, 2 * i], u[r:, 2 * i + 1] = -w * row.imag, w * row.real
-            f, g = fg[:r], fg[r : 2 * r]
-            np.matmul(u, v, out=fg[: 2 * r].view(float))
-            np.multiply(g.view(float), delta, out=g.view(float))
-            f += g
-            out[start : start + r] *= f
+                row = table(w, coarse, coarse_split, coarse_miss)
+                u[:, 2 * i], u[:, 2 * i + 1] = row.real, row.imag
+            np.matmul(u, v, out=f[:r].view(float))
+            out[start : start + r] *= f[:r]
     return out.reshape(-1)[: plan.size]
 
 
@@ -238,94 +244,92 @@ class TestDecoherenceFactor:
 
 
 class TestBlockFactorizedPath:
-    """Near-uniform 1-D grids of at least 2048 samples take the block product."""
+    """Uniform plans of at least 2048 samples take the block product."""
 
     @pytest.mark.parametrize("lam", [0.25, 1.0, 100.0])
     @pytest.mark.parametrize("n_sites", [2, 16, 1000])
     def test_error_against_extended_precision(self, n_sites, lam):
         table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=0.08125), n_max=1)
         # four whole blocks, a one-sample tail, the 2^16 grid's half-grid,
-        # and two grids that do not start at t = 0 (the threshold-scan tail);
-        # each with its nominal start and step
-        grids = [
-            (np.arange(n) * UNIFORM_DT, 0.0, UNIFORM_DT) for n in (2048, 2049, 32769)
-        ]
-        grids += [
-            (np.linspace(0.1, 300.0, 4096), 0.1, (300.0 - 0.1) / 4095),
-            (np.arange(20.0, 708.5, 0.1), 20.0, 0.1),
-        ]
-        for t, start, step in grids:
-            length = t.size
-            block = decoherence_factor(table, 1, t)
-            # every 13th sample (coprime to the block size of 512) and the
-            # last, whose short final step keeps even 2522 samples off the
-            # block path
-            idx = np.r_[np.arange(3, length, 13), length - 1]
-            loop = decoherence_factor(table, 1, t[idx])
+        # and two grids that do not start at t = 0: linspace(0.1, 300, 4096)
+        # and the threshold-scan tail arange(20, 708.5, 0.1)
+        grids = [(0.0, UNIFORM_DT, n) for n in (2048, 2049, 32769)]
+        grids += [(0.1, (300.0 - 0.1) / 4095, 4096), (20.0, 0.1, 6885)]
+        for start, step, count in grids:
+            plan = uniform_plan(start, step, count)
+            block = decoherence_factor(table, 1, plan)
+            # every 13th sample (coprime to the block size of 512) and the last
+            idx = np.r_[np.arange(3, count, 13), count - 1]
+            t = plan.times()[idx]
+            loop = decoherence_factor(table, 1, t)
             assert np.any(block[idx] != loop)  # the grid took the block path
-            # against the nominal times start + j step, and against the float
-            # t_j the block path corrects its split t_aB + (t_b - t_0) onto
-            nominal = np.longdouble(start) + idx.astype(np.longdouble) * step
-            for times in (nominal, t[idx].astype(np.longdouble)):
-                exact = longdouble_echo(table, 1, times)
-                block_error = float(np.max(np.abs(block[idx] - exact)))
-                loop_error = float(np.max(np.abs(loop - exact)))
-                assert block_error <= 2.0 * loop_error + 1e-15, (
-                    length, block_error, loop_error
-                )
+            # each path against the times it evaluates: the block product at
+            # the nominal times start + j step, mode_factor at the float t_j
+            nominal = np.longdouble(start) + idx.astype(np.longdouble) * np.longdouble(step)
+            block_error = float(np.max(np.abs(block[idx] - longdouble_echo(table, 1, nominal))))
+            exact = longdouble_echo(table, 1, t.astype(np.longdouble))
+            loop_error = float(np.max(np.abs(loop - exact)))
+            assert block_error <= 2.0 * loop_error + 1e-15, (count, block_error, loop_error)
 
     @pytest.mark.parametrize(
         "t",
         [
             np.arange(1023) * UNIFORM_DT,
-            np.arange(2047) * UNIFORM_DT,  # one sample short of the block floor
+            np.arange(2047) * UNIFORM_DT,
             (np.arange(2048) * UNIFORM_DT).reshape(2, 1024),  # not 1-D
             np.array([3.7]),
-            # uniform to within a quarter step: the split misses by far more
-            # than 1e-9 of a phase
             (np.arange(4096) + np.random.default_rng(3).uniform(-0.25, 0.25, 4096))
             * UNIFORM_DT,
+            # uniform and long, but an array: only a uniform plan takes the block
+            np.arange(32769) * UNIFORM_DT,
+            # one sample short of the block floor: its float times start + j step
+            uniform_plan(0.0, UNIFORM_DT, 2047),
         ],
-        ids=["short", "2047", "2d", "single", "jittered"],
+        ids=["short", "2047", "2d", "single", "jittered", "long-array", "short-plan"],
     )
     def test_other_grids_keep_the_loop_bitwise(self, t):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
+        times = t.times() if isinstance(t, GridPlan) else t
         np.testing.assert_array_equal(
-            decoherence_factor(table, 1, t), loop_reference(table, 1, t)
+            decoherence_factor(table, 1, t), loop_reference(table, 1, times)
         )
 
     def test_plan_and_workspace_keep_the_bits(self):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=2)
-        t = np.arange(32769) * UNIFORM_DT
-        plan = grid_plan(t)
-        assert plan.size == np.size(plan) == t.size
+        plan = uniform_plan(0.0, UNIFORM_DT, 32769)
+        assert plan.size == np.size(plan) == 32769 and plan.chunks
         workspace = plan.workspace()
         for n in (1, 2):  # the second call reuses the first's buffers
-            assert plan.takes_block(table, n)
             np.testing.assert_array_equal(
                 decoherence_factor(table, n, plan, workspace=workspace),
-                decoherence_factor(table, n, t),
+                decoherence_factor(table, n, plan),
             )
+        t = plan.times()
+        np.testing.assert_array_equal(t, np.arange(32769) * UNIFORM_DT)
+        np.testing.assert_array_equal(
+            decoherence_factor(table, 1, grid_plan(t)), decoherence_factor(table, 1, t)
+        )
 
     @pytest.mark.parametrize(
-        "n_sites, lam, t",
+        "n_sites, lam, grid",
         [
-            (2, 1.0, np.arange(32769) * UNIFORM_DT),  # one mode
-            (38, 1.0, np.arange(32769) * UNIFORM_DT),  # 19 modes: a short last group
-            (1000, 0.25, np.arange(32769) * UNIFORM_DT),
-            (1000, 1.0, np.arange(32769) * UNIFORM_DT),
-            (1000, 100.0, np.arange(32769) * UNIFORM_DT),
-            (38, 1.0, np.arange(131073) * UNIFORM_DT),  # five chunks
-            (38, 1.0, np.arange(20.0, 708.5, 0.1)),  # does not start at 0
-            # the explicit grid t_max = 300, 4096 samples: its split is exact
-            (38, 1.0, np.arange(2049) * (2.0 * 300.0 / 4096)),
+            (2, 1.0, (0.0, UNIFORM_DT, 32769)),  # one mode
+            (38, 1.0, (0.0, UNIFORM_DT, 32769)),  # 19 modes: a short last group
+            (1000, 0.25, (0.0, UNIFORM_DT, 32769)),
+            (1000, 1.0, (0.0, UNIFORM_DT, 32769)),
+            (1000, 100.0, (0.0, UNIFORM_DT, 32769)),
+            (38, 1.0, (0.0, UNIFORM_DT, 131073)),  # five chunks
+            (38, 1.0, (20.0, 0.1, 6885)),  # does not start at 0
+            # the explicit grid t_max = 300, 4096 samples: a dyadic step, so
+            # every row and column time is exact
+            (38, 1.0, (0.0, 2.0 * 300.0 / 4096, 2049)),
         ],
         ids=["n2", "n38", "n1000-0.25", "n1000-1", "n1000-100", "chunks", "offset", "exact"],
     )
-    def test_grouped_tables_keep_the_per_mode_bits(self, n_sites, lam, t):
+    def test_grouped_tables_keep_the_per_mode_bits(self, n_sites, lam, grid):
         table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=0.08125), n_max=1)
-        plan = grid_plan(t)
-        assert plan.takes_block(table, 1)
+        plan = uniform_plan(*grid)
+        assert plan.chunks
         c = mode_coefficients(table.alpha[1], table.alpha[0])
         weights = _channel_sums(c)
         tones = (table.epsilon[1] + table.epsilon[0], table.epsilon[1] - table.epsilon[0])
@@ -333,11 +337,30 @@ class TestBlockFactorizedPath:
         reference = per_mode_block_reference(weights, tones, plan)
         np.testing.assert_array_equal(grouped.view(np.uint64), reference.view(np.uint64))
 
+    def test_uniform_plan_holds_no_grid_sized_array(self):
+        count = (1 << 18) + 1
+        plan = uniform_plan(0.0, UNIFORM_DT, count)
+        rows = -(-count // 512)
+
+        def arrays(item):
+            if isinstance(item, np.ndarray):
+                yield item
+            elif isinstance(item, tuple):
+                for part in item:
+                    yield from arrays(part)
+
+        held = list(arrays((plan.samples, plan.columns, plan.chunks)))
+        assert plan.samples is None and held
+        assert max(a.size for a in held) <= max(rows, 512)
+        out, f = plan.workspace()
+        assert out.dtype == f.dtype == complex
+        assert out.shape == (rows, 512) and f.shape == (plan.chunk_rows, 512)
+
     def test_block_scratch_memory_is_bounded(self):
         # the kernel's own allocations beyond the caller's workspace: its
         # per-group tables, never per-mode tables of every mode at once
         table = build_mode_table(params_for(n_sites=1000, lam=1.0, g_over_b=0.08125), n_max=1)
-        plan = grid_plan(np.arange(32769) * UNIFORM_DT)
+        plan = uniform_plan(0.0, UNIFORM_DT, 32769)
         workspace = plan.workspace()
         tracemalloc.start()
         try:

@@ -32,7 +32,7 @@ from isingspec import (
     weighted_echo,
 )
 from isingspec import spectrum
-from isingspec.decoherence import grid_plan
+from isingspec.decoherence import uniform_plan
 from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
@@ -59,14 +59,15 @@ class TestCorrelationSeries:
         np.testing.assert_allclose(series.values, 0.0, atol=1e-15)
 
     def test_vacuum_probe_allocates_no_block_buffers(self, monkeypatch):
-        # no grid plan either: its split alone holds a grid-sized array
-        def refused(t):
+        # no grid plan either, from an array or from (start, step, count)
+        def refused(*args):
             raise AssertionError("grid plan built for a probe with no populated branch")
 
         p = params_for()
         table = build_mode_table(p, n_max=1)
-        assert grid_plan(np.arange(2049) * (100.0 / 4096)).split_miss == 0.0  # block path
+        assert uniform_plan(0.0, 100.0 / 4096, 2049).chunks  # the half-grid's block path
         monkeypatch.setattr("isingspec.spectrum.grid_plan", refused)
+        monkeypatch.setattr("isingspec.spectrum.uniform_plan", refused)
         series = correlation_series(p, table, fock_superposition([1]), 50.0, 4096, threads=2)
         np.testing.assert_array_equal(series.values, 0.0)
 
@@ -131,14 +132,12 @@ class TestCorrelationSeries:
         weights = state.branch_weights()
         table = build_mode_table(p, n_max=state.n_max)
         grid = auto_time_grid(p, table, state)
-        half = np.arange(grid.n_samples // 2 + 1) * (2.0 * grid.t_max / grid.n_samples)
+        plan = uniform_plan(0.0, 2.0 * grid.t_max / grid.n_samples, grid.n_samples // 2 + 1)
         branches = [n for n in range(1, len(weights)) if weights[n] > 0.0]
-        assert len(branches) > 5
-        plan = grid_plan(half)
-        assert half.size >= 2048 and all(plan.takes_block(table, n) for n in branches)
-        expected = np.zeros(half.shape, dtype=complex)
+        assert len(branches) > 5 and plan.chunks  # the block path
+        expected = np.zeros(plan.shape, dtype=complex)
         for n in branches:
-            expected += weights[n] * decoherence_factor(table, n, half)
+            expected += weights[n] * decoherence_factor(table, n, plan)
         pools = []
 
         class Pool(spectrum.ThreadPoolExecutor):
@@ -148,14 +147,14 @@ class TestCorrelationSeries:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(spectrum, "ThreadPoolExecutor", Pool)
-        echo = weighted_echo(table, state, half, threads=threads)
+        echo = weighted_echo(table, state, plan, threads=threads)
         np.testing.assert_array_equal(echo, expected)
         assert pools == ([threads - 1] if threads > 1 else [])
 
     def test_branch_threads_keep_the_callers_error_state(self):
-        # a dyadic step makes the split exact, so every branch takes the
-        # block product, whose phases overflow: helpers that ignored the
-        # caller's errstate would warn, and the filter turns that into an error
+        # the 2049-sample half-grid takes the block product, whose phases
+        # overflow: helpers that ignored the caller's errstate would warn,
+        # and the filter turns that into an error
         p = params_for(n_sites=20, lam=0.9)
         state = coherent_state(1.0)
         table = build_mode_table(p, n_max=state.n_max)
@@ -184,8 +183,8 @@ probes = st.one_of(
 class TestUniformGridProperties:
     """Invariants at random (N, lambda, g, probe) on a uniform grid.
 
-    4096 samples give a 2049-point half-grid t_j = j dt, so both the branch
-    echoes and S(t) come from the block-factorized product.
+    4096 samples give a 2049-point half-grid t_j = j dt, a uniform plan, so
+    both the branch echoes and S(t) come from the block-factorized product.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -200,11 +199,10 @@ class TestUniformGridProperties:
         table = build_mode_table(p, n_max=max(state.n_max, 1))
         series = correlation_series(p, table, state, 200.0, 4096)
         mid = series.n_samples // 2
-        half = np.arange(mid + 1) * (2.0 * 200.0 / 4096)  # the grid correlation_series uses
-        plan = grid_plan(half)
-        assert all(plan.takes_block(table, n) for n in _populated_branches(table, state))
+        plan = uniform_plan(0.0, 2.0 * 200.0 / 4096, mid + 1)  # the grid correlation_series uses
+        assert plan.chunks
         for n in range(1, state.n_max + 1):
-            echo = decoherence_factor(table, n, half)
+            echo = decoherence_factor(table, n, plan)
             assert abs(echo[0] - 1.0) <= 1e-12
             assert np.max(np.abs(echo)) <= 1.0 + 1e-12
         np.testing.assert_array_equal(
@@ -288,11 +286,11 @@ class TestSpectrumFFT:
     @pytest.mark.parametrize(
         "grid, route",
         [
-            ((300.0, 4096), "exact split"),
-            ((257.3, 4096), "split miss"),
-            ((150.0, 2048), "mode_factor"),
+            ((300.0, 4096), "block"),  # a dyadic step
+            ((257.3, 4096), "block"),  # a full 53-bit step
+            ((150.0, 2048), "mode_factor"),  # a 1025-sample half-grid
         ],
-        ids=["exact-split", "split-miss", "mode-factor"],
+        ids=["block-dyadic", "block", "mode-factor"],
     )
     @pytest.mark.parametrize("n_sites", [4, 8])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -300,10 +298,11 @@ class TestSpectrumFFT:
     def test_matches_discrete_line_kernel_on_explicit_grids(
         self, n_sites, lam, probe, grid, route
     ):
+        # the route is structural: a half-grid of 2048 samples or more
+        # takes the block product at the nominal times j dt
         t_max, n_samples = grid
-        miss = grid_plan(np.arange(n_samples // 2 + 1) * (2.0 * t_max / n_samples)).split_miss
-        routes = {0.0: "exact split", math.inf: "mode_factor"}
-        assert routes.get(miss, "split miss") == route
+        plan = uniform_plan(0.0, 2.0 * t_max / n_samples, n_samples // 2 + 1)
+        assert ("block" if plan.chunks else "mode_factor") == route
         self.test_matches_discrete_line_kernel(n_sites, lam, probe, grid)
 
     def test_probe_phase_invariance(self):
