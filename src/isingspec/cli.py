@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -285,12 +286,8 @@ def _write_report(path: Path, cfg: dict, **fields) -> Path:
 
 
 def _write_metrics(path: Path, cfg: dict, **fields) -> Path:
-    return _write_report(
-        path,
-        cfg,
-        participation_normalization="inverse participation ratio divided by grid size",
-        **fields,
-    )
+    note = "inverse participation ratio divided by grid size"
+    return _write_report(path, cfg, participation_normalization=note, **fields)
 
 
 def _lambda_tag(lam: float) -> str:
@@ -476,8 +473,11 @@ def cmd_sweep(cfg: dict, out_flag: str | None, threads: int):
     if "sweep" not in cfg:
         raise ConfigError("config.sweep: required by the sweep command")
 
+    transform = threading.Lock()  # one lambda's FFT buffers at a time: a steady peak
+
     def finish(_out, params, _grid, series):
-        return _metrics_record(params, broadening_metrics(spectrum_fft(series)))
+        with transform:
+            return _metrics_record(params, broadening_metrics(spectrum_fft(series)))
 
     out, records = _run_sweep(cfg, out_flag, threads, finish)
     yield _write_metrics(out / "sweep_metrics.json", cfg, results=records)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,25 @@ class TestSweepCommand:
         sweep = json.loads((tmp_path / "out" / "sweep_metrics.json").read_text())
         single = json.loads((tmp_path / "out" / "metrics_lambda_2.json").read_text())
         assert sweep["results"][0] == single["metrics"]
+
+    def test_lambda_transforms_run_one_at_a_time(self, runner, tmp_path, monkeypatch):
+        # two lambda threads never hold their transform buffers at once
+        real = isingspec.cli.spectrum_fft
+        inside, most = [], []
+
+        def held(series):
+            inside.append(1)
+            most.append(len(inside))
+            time.sleep(0.05)  # long enough for the other lambda to arrive
+            inside.pop()
+            return real(series)
+
+        monkeypatch.setattr("isingspec.cli.spectrum_fft", held)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sweep=[0.5, 1.0, 2.0, 5.0])
+        args = ["sweep", "--config", str(cfg_path), "--threads", "2"]
+        assert runner.invoke(main, args).exit_code == 0
+        assert most == [1, 1, 1, 1]
 
     def test_missing_sweep_is_config_error(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
