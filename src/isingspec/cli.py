@@ -54,6 +54,8 @@ _FLOAT_FMT = "%.17g"
 # values per formatted CSV block: numpy's per-call cost is spread over this
 # many values, and one block's buffers peak at about 1.5 MB
 _CSV_CHUNK = 8192
+# one lambda's transform at a time: two never hold their FFT buffers at once
+_TRANSFORM_LOCK = threading.Lock()
 
 
 def _fmt(x: float) -> str:
@@ -347,8 +349,12 @@ def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
         return out, list(pool.map(job, runs))
 
 
-def _metrics_record(params: ChainParams, metrics) -> dict:
-    return {
+def _transform(params: ChainParams, series):
+    """The spectrum of one lambda's series and its metrics record, under _TRANSFORM_LOCK."""
+    with _TRANSFORM_LOCK:
+        spec = spectrum_fft(series)
+        metrics = broadening_metrics(spec)
+    record = {
         "lambda": params.lam,
         "w90": metrics.w90,
         "entropy": metrics.entropy,
@@ -357,6 +363,7 @@ def _metrics_record(params: ChainParams, metrics) -> dict:
         "g_over_b": params.g_over_b,
         "gamma_over_b": params.gamma_over_b,
     }
+    return spec, record
 
 
 @click.group()
@@ -452,8 +459,7 @@ def cmd_spectrum(cfg: dict, out_flag: str | None, threads: int):
     """Write S(omega) CSV and a metrics JSON, one pair per lambda."""
 
     def finish(out, params, grid, series):
-        spec = spectrum_fft(series)
-        metrics = _metrics_record(params, broadening_metrics(spec))
+        spec, metrics = _transform(params, series)
         tag = _lambda_tag(params.lam)
         csv_path = out / f"spectrum_lambda_{tag}.csv"
         columns = {"omega": spec.frequencies, "S": spec.values}
@@ -473,11 +479,8 @@ def cmd_sweep(cfg: dict, out_flag: str | None, threads: int):
     if "sweep" not in cfg:
         raise ConfigError("config.sweep: required by the sweep command")
 
-    transform = threading.Lock()  # one lambda's FFT buffers at a time: a steady peak
-
     def finish(_out, params, _grid, series):
-        with transform:
-            return _metrics_record(params, broadening_metrics(spectrum_fft(series)))
+        return _transform(params, series)[1]
 
     out, records = _run_sweep(cfg, out_flag, threads, finish)
     yield _write_metrics(out / "sweep_metrics.json", cfg, results=records)

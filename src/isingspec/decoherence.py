@@ -16,7 +16,6 @@ exact-diagonalization echo.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -34,7 +33,8 @@ MAX_ENUMERABLE_MODES = 14
 _CHUNK = 1 << 15
 # modes whose block-product tables are built together
 _GROUP = 8
-# uniform plans of _BLOCK_MIN or more samples take the block product, in rows of _BLOCK
+# uniform grids of _BLOCK_MIN or more samples take the block product, in rows of _BLOCK;
+# shorter ones take mode_factor, the faster kernel at a 2^10 auto grid's 513 samples
 _BLOCK, _BLOCK_MIN = 512, 2048
 # Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
 _SPLITTER = 134217729.0
@@ -108,35 +108,25 @@ def _branch_pair(table: ModeTable, n: int):
 
 @dataclass(frozen=True)
 class GridPlan:
-    """What decoherence_factor decides about a time grid once, for every branch.
+    """The block split of the nominal times start + j step, j = 0 .. size - 1.
 
-    Pass it to decoherence_factor in place of t.  grid_plan(t) holds t as
-    flat float samples and its shape, () for a scalar; every branch takes
-    mode_factor there.  uniform_plan(start, step, count) of 2048 samples or
-    more holds no samples, only the block split of its nominal times start
-    + j step: columns (b step, its Veltkamp split, its miss) for the 512
-    columns b, and chunks one (first row, row times T_a, their Veltkamp
-    split, misses e_a) per chunk of chunk_rows rows.
+    Pass it to decoherence_factor in place of t: it takes the block product
+    at these times, for every branch.  columns holds (b step, its Veltkamp
+    split, its miss) for the 512 columns b, and chunks one (first row, row
+    times T_a, their Veltkamp split, misses e_a) per chunk of chunk_rows
+    rows.  It holds no array of the grid's size.
     """
 
-    shape: tuple[int, ...]
-    samples: np.ndarray | None = None
-    start: float = 0.0
-    step: float = 0.0
-    columns: tuple = ()
-    chunks: tuple = ()
-    chunk_rows: int = 0
-
-    @property
-    def size(self) -> int:
-        """Number of samples, as np.size(t) counts them."""
-        return math.prod(self.shape)
+    start: float
+    step: float
+    size: int
+    columns: tuple
+    chunks: tuple
+    chunk_rows: int
 
     def times(self) -> np.ndarray:
-        """The float times as a flat array: samples, or start + j step."""
-        if self.samples is None:
-            return self.start + np.arange(self.size) * self.step
-        return self.samples
+        """The float times start + j step as a flat array."""
+        return self.start + np.arange(self.size) * self.step
 
     def workspace(self):
         """Buffers of one block-product call: output and f, one allocation.
@@ -151,24 +141,18 @@ class GridPlan:
         return buffer[:rows], buffer[rows:]
 
 
-def grid_plan(t) -> GridPlan:
-    """The plan of times t, on which every branch takes mode_factor; t if it is a plan."""
-    if isinstance(t, GridPlan):
-        return t
-    return GridPlan(np.shape(t), np.asarray(t, dtype=float).reshape(-1))
+def uniform_plan(start: float, step: float, count: int) -> GridPlan | np.ndarray:
+    """The nominal times start + j step, j = 0 .. count - 1, for decoherence_factor.
 
-
-def uniform_plan(start: float, step: float, count: int) -> GridPlan:
-    """The plan of the nominal times start + j step, j = 0 .. count - 1.
-
-    Under 2048 samples it is grid_plan(start + np.arange(count) * step).
-    From 2048 on, the times split into rows of 512 samples, in chunks of
-    about 2^15 samples (a short tail joins the last chunk), and each part
-    is a float and its exact miss: b step by TwoProduct, start + a 512 step
-    by TwoProduct and TwoSum.
+    Under 2048 samples they are the float times start + np.arange(count) *
+    step, which take mode_factor.  From 2048 on they are a GridPlan: the
+    times split into rows of 512 samples, in chunks of about 2^15 samples
+    (a short tail joins the last chunk), and each part is a float and its
+    exact miss: b step by TwoProduct, start + a 512 step by TwoProduct and
+    TwoSum.
     """
     if count < _BLOCK_MIN:
-        return grid_plan(start + np.arange(count) * step)
+        return start + np.arange(count) * step
     rows = -(-count // _BLOCK)
     chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
     step_split = _veltkamp_split(step)
@@ -188,7 +172,7 @@ def uniform_plan(start: float, step: float, count: int) -> GridPlan:
         for a in range(0, rows, chunk_rows)
     )
     columns = (fine, _veltkamp_split(fine), fine_miss)
-    return GridPlan((count,), None, start, step, columns, chunks, chunk_rows)
+    return GridPlan(start, step, count, columns, chunks, chunk_rows)
 
 
 def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
@@ -196,25 +180,24 @@ def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
 
     The per-momentum factors are multiplied in ascending-k order regardless
     of how callers parallelize over time samples, so outputs are bitwise
-    reproducible.  t is times (any shape) or a GridPlan, for callers that
-    evaluate several branches on one grid.  A uniform_plan of 2048 samples
-    or more takes a block-factorized product at its nominal times start +
-    j step; any other t takes mode_factor itself at its float times,
-    broadcast over modes and time chunks.  Magnitudes below 1e-300 are
-    flushed to exactly zero.  workspace, from plan.workspace(), holds the
-    block product's buffers: the result is written into it and returned as
-    a view.  It does not change a bit of the result.
+    reproducible.  A GridPlan (see uniform_plan) takes a block-factorized
+    product at its nominal times start + j step; any other t is times of
+    any shape, and takes mode_factor itself at them, broadcast over modes
+    and time chunks.  Magnitudes below 1e-300 are flushed to exactly zero.
+    workspace, from plan.workspace(), holds the block product's buffers:
+    the result is written into it and returned as a view.  It does not
+    change a bit of the result.
     """
     coeffs, eps_n, eps_p = _branch_pair(table, n)
-    plan = grid_plan(t)
-    if plan.chunks:
+    if isinstance(t, GridPlan):
         weights = _channel_sums(coeffs)
         tones = (eps_n + eps_p, eps_n - eps_p)
-        out = _block_product(weights, tones, plan, workspace or plan.workspace())
+        out = _block_product(weights, tones, t, workspace or t.workspace())
     else:
-        out = _mode_product(coeffs, eps_n, eps_p, plan.samples)
+        t = np.asarray(t, dtype=float)
+        out = _mode_product(coeffs, eps_n, eps_p, t.reshape(-1)).reshape(t.shape)
     out[np.abs(out) < UNDERFLOW_CLAMP] = 0.0
-    return out[0] if plan.shape == () else out.reshape(plan.shape)
+    return out[()]  # a scalar for a scalar t
 
 
 def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.ndarray:

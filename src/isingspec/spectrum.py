@@ -20,9 +20,9 @@ import numpy as np
 
 from .chain import ModeTable
 from .decoherence import (
+    GridPlan,
     decoherence_factor,
     enumerate_lines,
-    grid_plan,
     mode_coefficients,
     uniform_plan,
 )
@@ -133,33 +133,30 @@ def _threads(count: int) -> int:
 def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
     """sum_n n |c_n|^2 D_{n,n-1}(t) over the populated branches, in ascending n.
 
-    This is S(t) without the exp(-Gamma |t|) envelope; t is an array or a
-    GridPlan (see decoherence_factor), planned once for all branches.  On a
-    plan that takes the block product, up to threads branches (0: the CPUs
-    this process may use) are computed at a time: the calling thread takes
-    the first of each round and one helper thread each of the rest, into
-    buffers the calling thread allocates, under the caller's numpy error
-    state.  The sum is taken in ascending n all the same, so the result has
-    the same bits at any threads.  A single branch, threads=1, and any grid
-    that takes mode_factor run on the calling thread alone; a probe with no
-    populated branch gets zeros without a grid plan.
+    This is S(t) without the exp(-Gamma |t|) envelope; t is times of any
+    shape or a GridPlan (see decoherence_factor), shared by all branches.
+    On a GridPlan, up to threads branches (0: the CPUs this process may
+    use) are computed at a time: the calling thread takes the first of each
+    round and one helper thread each of the rest, into buffers the calling
+    thread allocates, under the caller's numpy error state.  The sum is
+    taken in ascending n all the same, so the result has the same bits at
+    any threads.  A single branch, threads=1, and times run on the calling
+    thread alone; a probe with no populated branch gets zeros without a
+    workspace.
     """
     branches = list(_populated_branches(table, state).items())
-    acc = np.zeros(np.shape(t), dtype=complex)
+    block = isinstance(t, GridPlan)
+    acc = np.zeros(t.size if block else np.shape(t), dtype=complex)
     if not branches:
         return acc
-    plan = grid_plan(t)
-    workers = min(_threads(threads), len(branches))
-    if plan.chunks:
-        workspaces = [plan.workspace() for _ in range(workers)]
-    else:
-        workers, workspaces = 1, [None]
+    workers = min(_threads(threads), len(branches)) if block else 1
+    workspaces = [t.workspace() for _ in range(workers)] if block else [None]
     # a new thread starts with numpy's default error state, on numpy 1 and 2
     errstate = dict(np.geterr(), call=np.geterrcall())
 
     def echo(n, workspace):
         with np.errstate(**errstate):
-            return decoherence_factor(table, n, plan, workspace=workspace)
+            return decoherence_factor(table, n, t, workspace=workspace)
 
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
         for first in range(0, len(branches), workers):
@@ -567,16 +564,18 @@ def threshold_crossing_time(
         1.2 * math.log(1.0 / _CROSSING_THRESHOLD) / gamma if gamma > 0.0 else 2000.0
     )
 
-    def ratio(plan) -> np.ndarray:
-        return np.abs(weighted_echo(table, state, plan)) * np.exp(-gamma * plan.times()) / s0
+    def ratio(t, times) -> np.ndarray:
+        return np.abs(weighted_echo(table, state, t)) * np.exp(-gamma * times) / s0
 
-    # each segment as a uniform plan: the head and a tail of 2048 samples or
-    # more (horizon past ~225) take the block echo path
+    # each segment at its nominal times; one of 2048 samples or more takes the
+    # block echo product: the head for a horizon past ~10.2, the tail past ~225
     split = min(20.0, horizon)
-    segments = ((0.0, split, 0.005), (split, horizon, 0.1))  # np.arange's counts
-    plans = [uniform_plan(a, step, max(0, math.ceil((b - a) / step))) for a, b, step in segments]
-    ts = np.concatenate([plan.times() for plan in plans])
-    r = np.concatenate([ratio(plan) for plan in plans])
+    ts, r = [], []
+    for a, b, step in ((0.0, split, 0.005), (split, horizon, 0.1)):
+        count = max(0, math.ceil((b - a) / step))  # np.arange's count
+        ts.append(a + np.arange(count) * step)
+        r.append(ratio(uniform_plan(a, step, count), ts[-1]))
+    ts, r = np.concatenate(ts), np.concatenate(r)
     below = np.nonzero(r < _CROSSING_THRESHOLD)[0]
     if below.size == 0:
         return math.inf
@@ -584,7 +583,8 @@ def threshold_crossing_time(
     lo, hi = float(ts[i - 1]), float(ts[i])
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:  # until lo and hi are neighbouring floats
-        if float(ratio(grid_plan(np.array([mid])))[0]) < _CROSSING_THRESHOLD:
+        t = np.array([mid])
+        if float(ratio(t, t)[0]) < _CROSSING_THRESHOLD:
             hi = mid
         else:
             lo = mid

@@ -359,7 +359,8 @@ class TestSweepCommand:
         single = json.loads((tmp_path / "out" / "metrics_lambda_2.json").read_text())
         assert sweep["results"][0] == single["metrics"]
 
-    def test_lambda_transforms_run_one_at_a_time(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["sweep", "spectrum"])
+    def test_lambda_transforms_run_one_at_a_time(self, runner, tmp_path, monkeypatch, command):
         # two lambda threads never hold their transform buffers at once
         real = isingspec.cli.spectrum_fft
         inside, most = [], []
@@ -374,7 +375,7 @@ class TestSweepCommand:
         monkeypatch.setattr("isingspec.cli.spectrum_fft", held)
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sweep=[0.5, 1.0, 2.0, 5.0])
-        args = ["sweep", "--config", str(cfg_path), "--threads", "2"]
+        args = [command, "--config", str(cfg_path), "--threads", "2"]
         assert runner.invoke(main, args).exit_code == 0
         assert most == [1, 1, 1, 1]
 

@@ -32,7 +32,7 @@ from isingspec import (
     weighted_echo,
 )
 from isingspec import spectrum
-from isingspec.decoherence import uniform_plan
+from isingspec.decoherence import GridPlan, uniform_plan
 from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
@@ -59,14 +59,14 @@ class TestCorrelationSeries:
         np.testing.assert_allclose(series.values, 0.0, atol=1e-15)
 
     def test_vacuum_probe_allocates_no_block_buffers(self, monkeypatch):
-        # no grid plan either, from an array or from (start, step, count)
+        # no plan from (start, step, count), and no block workspace either
         def refused(*args):
-            raise AssertionError("grid plan built for a probe with no populated branch")
+            raise AssertionError("plan or workspace built for a probe with no populated branch")
 
         p = params_for()
         table = build_mode_table(p, n_max=1)
         assert uniform_plan(0.0, 100.0 / 4096, 2049).chunks  # the half-grid's block path
-        monkeypatch.setattr("isingspec.spectrum.grid_plan", refused)
+        monkeypatch.setattr("isingspec.decoherence.GridPlan.workspace", refused)
         monkeypatch.setattr("isingspec.spectrum.uniform_plan", refused)
         series = correlation_series(p, table, fock_superposition([1]), 50.0, 4096, threads=2)
         np.testing.assert_array_equal(series.values, 0.0)
@@ -135,7 +135,7 @@ class TestCorrelationSeries:
         plan = uniform_plan(0.0, 2.0 * grid.t_max / grid.n_samples, grid.n_samples // 2 + 1)
         branches = [n for n in range(1, len(weights)) if weights[n] > 0.0]
         assert len(branches) > 5 and plan.chunks  # the block path
-        expected = np.zeros(plan.shape, dtype=complex)
+        expected = np.zeros(plan.size, dtype=complex)
         for n in branches:
             expected += weights[n] * decoherence_factor(table, n, plan)
         pools = []
@@ -302,7 +302,7 @@ class TestSpectrumFFT:
         # takes the block product at the nominal times j dt
         t_max, n_samples = grid
         plan = uniform_plan(0.0, 2.0 * t_max / n_samples, n_samples // 2 + 1)
-        assert ("block" if plan.chunks else "mode_factor") == route
+        assert ("block" if isinstance(plan, GridPlan) else "mode_factor") == route
         self.test_matches_discrete_line_kernel(n_sites, lam, probe, grid)
 
     def test_probe_phase_invariance(self):
@@ -580,8 +580,10 @@ class TestAutoTimeGrid:
 
 
 class TestThresholdCrossing:
-    def test_zero_coupling_crossing_is_envelope_time(self):
-        gamma = 0.01
+    # 0.01: a block tail of 2564 samples; 0.2 and 0.5: an empty tail behind
+    # a head of 2764 samples (block product) or 1106 (mode_factor)
+    @pytest.mark.parametrize("gamma", [0.01, 0.2, 0.5])
+    def test_zero_coupling_crossing_is_envelope_time(self, gamma):
         p = params_for(g_over_b=0.0, gamma_over_b=gamma)
         table = build_mode_table(p, n_max=1)
         t = threshold_crossing_time(p, table, fock_superposition([1, 1]))
