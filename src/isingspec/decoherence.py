@@ -34,8 +34,11 @@ _CHUNK = 1 << 15
 # modes whose block-product tables are built together
 _GROUP = 8
 # uniform grids of _BLOCK_MIN or more samples take the block product, in rows of _BLOCK;
-# shorter ones take mode_factor, the faster kernel at a 2^10 auto grid's 513 samples
-_BLOCK, _BLOCK_MIN = 512, 2048
+# shorter ones take mode_factor, which keeps the bytes of 2^10 and 2^11 auto grids
+# (the block product is the faster from about 250 samples on)
+_BLOCK, _BLOCK_MIN = 128, 2048
+# block-product row and column indices split as _FINE coarse + fine, fine < _FINE
+_FINE = 16
 # Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
 _SPLITTER = 134217729.0
 
@@ -111,16 +114,23 @@ class GridPlan:
     """The block split of the nominal times start + j step, j = 0 .. size - 1.
 
     Pass it to decoherence_factor in place of t: it takes the block product
-    at these times, for every branch.  columns holds (b step, its Veltkamp
-    split, its miss) for the 512 columns b, and chunks one (first row, row
-    times T_a, their Veltkamp split, misses e_a) per chunk of chunk_rows
-    rows.  It holds no array of the grid's size.
+    at these times, for every branch.  Sample j = a B + b sits at row a and
+    column b of B = 128 columns, and each index splits as 16 coarse + fine.
+    exact holds every time the phase tables need as (float, Veltkamp split,
+    exact miss), see _exact_times; the slices pick them out of it: columns
+    the 8 coarse column times 16 c step and the 16 fine ones f step,
+    fine_rows the fine row times f B step, shared by all chunks, and chunks
+    one (first row, rows, coarse row times start + (first + 16 c) B step)
+    per chunk of at most chunk_rows rows.  It holds no array of the grid's
+    size.
     """
 
     start: float
     step: float
     size: int
+    exact: tuple
     columns: tuple
+    fine_rows: slice
     chunks: tuple
     chunk_rows: int
 
@@ -146,33 +156,42 @@ def uniform_plan(start: float, step: float, count: int) -> GridPlan | np.ndarray
 
     Under 2048 samples they are the float times start + np.arange(count) *
     step, which take mode_factor.  From 2048 on they are a GridPlan: the
-    times split into rows of 512 samples, in chunks of about 2^15 samples
-    (a short tail joins the last chunk), and each part is a float and its
-    exact miss: b step by TwoProduct, start + a 512 step by TwoProduct and
-    TwoSum.
+    times split into rows of 128 samples, in chunks of about 2^15 samples
+    (a short tail joins the last chunk), with every 16th row and column
+    time and the 16 fine offsets within each held exactly (_exact_times).
     """
     if count < _BLOCK_MIN:
         return start + np.arange(count) * step
     rows = -(-count // _BLOCK)
     chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
-    step_split = _veltkamp_split(step)
-
-    def scaled(multiples):  # multiples step, rounded, and its miss
-        product = multiples * step
-        return product, _product_error(_veltkamp_split(multiples), step_split, product)
-
-    fine, fine_miss = scaled(np.arange(_BLOCK, dtype=float))
-    offsets, offset_miss = scaled(np.arange(0, rows * _BLOCK, _BLOCK, dtype=float))
-    coarse = start + offsets
-    part = coarse - start  # Knuth's TwoSum: start + offsets - coarse, exactly
-    coarse_miss = (start - (coarse - part)) + (offsets - part) + offset_miss
+    fine = np.arange(_FINE, dtype=float)
+    parts = [np.arange(0, _BLOCK, _FINE, dtype=float), fine, fine * _BLOCK]
+    parts += [np.arange(a, min(a + chunk_rows, rows), _FINE) * float(_BLOCK)
+              for a in range(0, rows, chunk_rows)]
+    bounds = np.cumsum([0] + [part.size for part in parts])
+    slices = [slice(*bounds[i : i + 2]) for i in range(len(parts))]
+    origin = np.zeros(bounds[-1])
+    origin[slices[3].start :] = start  # row times start from start, column times from 0
+    exact = _exact_times(origin, np.concatenate(parts), step)
     chunks = tuple(
-        (a, coarse[a : a + chunk_rows], _veltkamp_split(coarse[a : a + chunk_rows]),
-         coarse_miss[a : a + chunk_rows])
-        for a in range(0, rows, chunk_rows)
+        (a, min(chunk_rows, rows - a), coarse)
+        for a, coarse in zip(range(0, rows, chunk_rows), slices[3:])
     )
-    columns = (fine, _veltkamp_split(fine), fine_miss)
-    return GridPlan(start, step, count, columns, chunks, chunk_rows)
+    return GridPlan(start, step, count, exact, tuple(slices[:2]), slices[2], chunks, chunk_rows)
+
+
+def _exact_times(start, multiples: np.ndarray, step: float):
+    """start + multiples step as (float times, their Veltkamp split, exact misses).
+
+    The miss is exact: TwoProduct for multiples step, Knuth's TwoSum for
+    adding start, which adds nothing where start is 0.
+    """
+    product = multiples * step
+    product_miss = _product_error(_veltkamp_split(multiples), _veltkamp_split(step), product)
+    times = start + product
+    part = times - start  # Knuth's TwoSum: start + product - times, exactly
+    miss = (start - (times - part)) + (product - part) + product_miss
+    return times, _veltkamp_split(times), miss
 
 
 def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
@@ -219,43 +238,49 @@ def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.n
     return out
 
 
-def _phase_table(w, w_split, times, times_split, times_miss, out):
-    """exp(i w (times + times_miss)) to double precision into complex out.
+def _phase_table(w, w_split, times, times_split, times_miss):
+    """exp(i w (times + times_miss)) to double precision, as (mode, tone, time).
 
     w holds the tones as (mode, tone, 1).  fl(w times) rounds once; that
     rounding and w times_miss come back as the factor 1 + i miss, which
-    scales out's real and imaginary parts in place: no complex temporary.
+    scales the table's real and imaginary parts in place.
     """
     phase = w * times
     miss = _product_error(w_split, times_split, phase)
     miss += w * times_miss
-    np.exp(np.multiply(1j, phase, out=out), out=out)
-    re, im = out.real, out.imag
+    table = np.exp(1j * phase)
+    re, im = table.real, table.imag
     re_miss = re * miss
     re -= im * miss
     im += re_miss
+    return table
 
 
 def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     """Per-mode product on a uniform plan's nominal times, block by block.
 
     Sample j = a B + b sits at row a, column b, at the time start + a B step
-    + b step.  Per mode, a row table R = exp(i w (T_a + e_a)) and a column
-    table C = exp(i w b step) for each tone w (sum and difference), both to
-    double precision (_phase_table), give the factor as F = (cs Re R1C1 +
-    cq Re R2C2) + i (ds Im R1C1 + dq Im R2C2).  Over a chunk, F viewed as
-    interleaved floats is the rank-4 real product U V, with U = [Re R1,
-    Im R1, Re R2, Im R2] (rows x 4) and V the four weighted column rows
-    (cs Re C, ds Im C) and (-cs Im C, ds Re C) of tone 1, then those of
-    tone 2 with (cq, dq) (4 x 2B).
+    + b step.  Per mode, a row table R = exp(i w (start + a B step)) and a
+    column table C = exp(i w b step) for each tone w (sum and difference)
+    give the factor as F = (cs Re R1C1 + cq Re R2C2) + i (ds Im R1C1 + dq Im
+    R2C2).  Over a chunk, F viewed as interleaved floats is the rank-4 real
+    product U V, with U = [Re R1, Im R1, Re R2, Im R2] (rows x 4) and V the
+    four weighted column rows (cs Re C, ds Im C) and (-cs Im C, ds Re C) of
+    tone 1, then those of tone 2 with (cq, dq) (4 x 2B).
 
-    U and V are built for _GROUP modes at a time, a few numpy calls per
-    group (V once per group, U per chunk).  The per-mode loop then makes
-    only chunk-sized calls, which release the GIL, so branch and lambda
-    threads do not queue on each other's bookkeeping: the product and acc
-    *= F.  Every element sees the same operations in the same order as a
-    loop that builds each mode's tables alone.  Every array of a grid's
-    size lives in workspace; the product fills its output.
+    R and C are outer products: with a = 16 c + f (and b likewise), R[a] =
+    exp(i w x_c) exp(i w x_f) at the plan's exact coarse and fine times x_c
+    and x_f, each factor to double precision (_phase_table), and their
+    product adds one complex rounding.  So each tone takes 40 + rows / 16
+    complex exponentials, all in one _phase_table, and each table entry one
+    complex multiply.  The factors are built for _GROUP modes at a time, a
+    few numpy calls per group (the phases and V once per group, U per
+    chunk).  The per-mode loop then makes only chunk-sized calls, which
+    release the GIL, so branch and lambda threads do not queue on each
+    other's bookkeeping: the product and acc *= F.  Every element sees the
+    same operations in the same order as a loop that builds each mode's
+    tables alone.  Every array of a grid's size lives in workspace; the
+    product fills its output.
     """
     out, f = workspace
     out[...] = 1.0
@@ -263,31 +288,32 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     tone_pairs, cos_w, sin_w = (
         np.stack(pair, axis=1)[:, :, None] for pair in (tones, weights[0::2], weights[1::2])
     )
-    # V as (mode, tone, pair row, column, (re, im) slot), one buffer for all
-    # groups: pair row 0 holds C as complex until it is weighted.  Every call
-    # runs along the 512 columns: one whose innermost axis is the 2-long
-    # (re, im) slot cost a sixth of the whole kernel
-    v_groups = np.empty((_GROUP, 2, 2, _BLOCK, 2))
+    # V as (mode, tone, pair row, coarse column, fine column, (re, im) slot),
+    # one buffer for all groups: pair row 0 holds C as complex until it is
+    # weighted.  Every call runs along the columns: one whose innermost axis
+    # is the 2-long (re, im) slot cost a sixth of the whole kernel
+    v_groups = np.empty((_GROUP, 2, 2, _BLOCK // _FINE, _FINE, 2))
     for first in range(0, tone_pairs.shape[0], _GROUP):
         w = tone_pairs[first : first + _GROUP]
         w_split = _veltkamp_split(w)
-        cs, ds = cos_w[first : first + _GROUP], sin_w[first : first + _GROUP]
+        cs, ds = (x[first : first + _GROUP, ..., None] for x in (cos_w, sin_w))
         modes = w.shape[0]
         v = v_groups[:modes]
-        _phase_table(w, w_split, *plan.columns, out=v[:, :, 0].view(complex)[..., 0])
-        re, im = v[:, :, 0, :, 0], v[:, :, 0, :, 1]
-        np.multiply(im, -cs, out=v[:, :, 1, :, 0])
-        np.multiply(re, ds, out=v[:, :, 1, :, 1])
+        phases = _phase_table(w, w_split, *plan.exact)
+        coarse, fine = (phases[..., part] for part in plan.columns)
+        np.multiply(coarse[..., None], fine[..., None, :], out=v[:, :, 0].view(complex)[..., 0])
+        re, im = v[:, :, 0, ..., 0], v[:, :, 0, ..., 1]
+        np.multiply(im, -cs, out=v[:, :, 1, ..., 0])
+        np.multiply(re, ds, out=v[:, :, 1, ..., 1])
         re *= cs
         im *= ds
         v = v.reshape(modes, 4, 2 * _BLOCK)
-        for start, coarse, coarse_split, coarse_miss in plan.chunks:
-            r = coarse.size
+        fine_rows = phases[..., None, plan.fine_rows]
+        for start, r, coarse in plan.chunks:
             acc, f_r = out[start : start + r], f[:r]
-            rows = np.empty((modes, 2, r), dtype=complex)
-            _phase_table(w, w_split, coarse, coarse_split, coarse_miss, out=rows)
+            rows = np.multiply(phases[..., coarse, None], fine_rows).reshape(modes, 2, -1)[..., :r]
             # U as (mode, row, (tone, (re, im)))
-            u = rows.view(float).reshape(modes, 2, r, 2).swapaxes(1, 2).reshape(modes, r, 4)
+            u = rows.swapaxes(1, 2).copy().view(float)
             for m in range(modes):  # ascending k
                 np.matmul(u[m], v[m], out=f_r.view(float))
                 acc *= f_r

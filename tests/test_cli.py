@@ -194,12 +194,13 @@ class TestCorrelationCommand:
 
     def test_blas_threads_do_not_change_output(self, tmp_path):
         # each mode's echo factor over a chunk of r rows is one (r x 4) by
-        # (4 x 1024) BLAS product, which OpenBLAS may split over its threads
+        # (4 x 256) BLAS product, which OpenBLAS may split over its threads
         # depending on its size and kernel.  The CLI's 2^15-sample grid has
-        # 33-row chunks; the uniform plan of 65024 samples has one 127-row
-        # chunk, the most any grid has.  OpenBLAS 0.3.31 (SkylakeX kernel)
-        # keeps products of up to about 240 rows on one thread, so with it no
-        # grid reaches a second BLAS thread; other kernels may split sooner.
+        # 129-row chunks; the uniform plan of 65024 samples has one 508-row
+        # chunk, near the most any grid has (511).  OpenBLAS 0.3.31 (SkylakeX
+        # kernel) keeps products of up to about 900 rows on one thread, so
+        # with it no grid reaches a second BLAS thread; other kernels may
+        # split sooner.
         # A process reads its BLAS thread count at start-up, so every run is
         # a child.
         cfg = {

@@ -18,10 +18,13 @@ from isingspec import (
     oracle_decoherence,
     oracle_mode_factor,
 )
+from isingspec import decoherence
 from isingspec.decoherence import (
     GridPlan,
     _block_product,
     _channel_sums,
+    _exact_times,
+    _phase_table,
     _product_error,
     _veltkamp_split,
     uniform_plan,
@@ -50,11 +53,12 @@ def loop_reference(table, n, t):
 def per_mode_block_reference(weights, tones, plan):
     """The block product with every table built one mode at a time.
 
-    Per mode, U (rows x 4: Re R, Im R of each tone) and V (4 x 1024: the
-    weighted column rows of each tone) are built alone, from tables
-    exp(i w (x + e)) = exp(i fl(w x)) (1 + i (w x - fl(w x) + w e)) of the
-    row and column times x and their misses e, and one product gives the
-    factor F: the grouped kernel must give these bits exactly.
+    Per mode, U (rows x 4: Re R, Im R of each tone) and V (4 x 2B: the
+    weighted column rows of each tone) are built alone.  Each row and column
+    table is the outer product, 16 fine entries innermost, of a coarse and a
+    fine part of exp(i w (x + e)) = exp(i fl(w x)) (1 + i (w x - fl(w x) + w e))
+    at the plan's exact times x and their misses e, and one product gives
+    the factor F: the grouped kernel must give these bits exactly.
     """
     out, f = plan.workspace()
     out[...] = 1.0
@@ -67,18 +71,21 @@ def per_mode_block_reference(weights, tones, plan):
         result.real, result.imag = e.real - e.imag * miss, e.imag + e.real * miss
         return result
 
+    def outer(phases, coarse, fine):
+        return (phases[coarse, None] * phases[None, fine]).reshape(-1)
+
     for j in range(tones[0].size):
         pairs = [(float(w[j]), c[j], s[j]) for w, c, s in zip(tones, weights[::2], weights[1::2])]
-        v = np.empty((4, 1024))
-        for i, (w, c, s) in enumerate(pairs):
-            column = table(w, *plan.columns)
+        phases = [table(w, *plan.exact) for w, _, _ in pairs]
+        v = np.empty((4, 2 * decoherence._BLOCK))
+        for i, (_, c, s) in enumerate(pairs):
+            column = outer(phases[i], *plan.columns)
             v[2 * i, 0::2], v[2 * i, 1::2] = c * column.real, s * column.imag
             v[2 * i + 1, 0::2], v[2 * i + 1, 1::2] = -c * column.imag, s * column.real
-        for start, coarse, coarse_split, coarse_miss in plan.chunks:
-            r = coarse.size
+        for start, r, coarse in plan.chunks:
             u = np.empty((r, 4))
-            for i, (w, c, s) in enumerate(pairs):
-                row = table(w, coarse, coarse_split, coarse_miss)
+            for i in range(2):
+                row = outer(phases[i], coarse, plan.fine_rows)[:r]
                 u[:, 2 * i], u[:, 2 * i + 1] = row.real, row.imag
             np.matmul(u, v, out=f[:r].view(float))
             out[start : start + r] *= f[:r]
@@ -257,7 +264,7 @@ class TestBlockFactorizedPath:
         for start, step, count in grids:
             plan = uniform_plan(start, step, count)
             block = decoherence_factor(table, 1, plan)
-            # every 13th sample (coprime to the block size of 512) and the last
+            # every 13th sample (coprime to the block size) and the last
             idx = np.r_[np.arange(3, count, 13), count - 1]
             t = plan.times()[idx]
             loop = decoherence_factor(table, 1, t)
@@ -335,7 +342,7 @@ class TestBlockFactorizedPath:
     def test_uniform_plan_holds_no_grid_sized_array(self):
         count = (1 << 18) + 1
         plan = uniform_plan(0.0, UNIFORM_DT, count)
-        rows = -(-count // 512)
+        rows = -(-count // decoherence._BLOCK)
 
         def arrays(item):
             if isinstance(item, np.ndarray):
@@ -344,12 +351,13 @@ class TestBlockFactorizedPath:
                 for part in item:
                     yield from arrays(part)
 
-        held = list(arrays((plan.columns, plan.chunks)))
+        held = list(arrays((plan.exact, plan.chunks)))
         assert held
-        assert max(a.size for a in held) <= max(rows, 512)
+        assert max(a.size for a in held) <= max(rows, decoherence._BLOCK)
         out, f = plan.workspace()
         assert out.dtype == f.dtype == complex
-        assert out.shape == (rows, 512) and f.shape == (plan.chunk_rows, 512)
+        block = decoherence._BLOCK
+        assert out.shape == (rows, block) and f.shape == (plan.chunk_rows, block)
 
     def test_block_scratch_memory_is_bounded(self):
         # the kernel's own allocations beyond the caller's workspace: its
@@ -376,6 +384,34 @@ class TestBlockFactorizedPath:
         miss = _product_error(_veltkamp_split(w), _veltkamp_split(t), phase)
         for wi, ti, pi, mi in zip(w, t, phase, miss):
             assert Fraction(mi) == Fraction(wi) * Fraction(ti) - Fraction(pi)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(0.0, UNIFORM_DT, 32769), (0.0, 0.005, 4000), (20.0, 0.1, 6885)],
+        ids=["half-grid", "scan-head", "scan-tail"],
+    )
+    def test_factored_tables_match_one_exponential(self, grid):
+        # a row or column table is the outer product of a coarse and a fine
+        # factor, each exp(i w x) of exact times to double precision; the
+        # product adds one complex rounding, so every entry stays within
+        # 4 ulp of 1 of _phase_table at the combined exact times
+        start, step, _ = grid
+        plan = uniform_plan(*grid)
+        block = decoherence._BLOCK
+        w = np.random.default_rng(37).uniform(0.0, 230.0, (8, 2, 1))
+        phases = _phase_table(w, _veltkamp_split(w), *plan.exact)
+
+        def factored(coarse, fine):
+            return (phases[..., coarse, None] * phases[..., None, fine]).reshape(8, 2, -1)
+
+        tables = [(factored(*plan.columns), _exact_times(0.0, np.arange(block, dtype=float), step))]
+        for first, r, coarse in plan.chunks:
+            rows = _exact_times(start, np.arange(first, first + r) * float(block), step)
+            tables.append((factored(coarse, plan.fine_rows)[..., :r], rows))
+        for table, exact in tables:
+            direct = _phase_table(w, _veltkamp_split(w), *exact)
+            error = np.max(np.abs(table - direct))
+            assert error <= 4 * np.finfo(float).eps, (error, exact[0][-1])
 
 
 class TestEnumerateLines:
