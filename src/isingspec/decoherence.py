@@ -33,10 +33,8 @@ MAX_ENUMERABLE_MODES = 14
 _CHUNK = 1 << 15
 # modes whose block-product tables are built together
 _GROUP = 8
-# uniform grids of _BLOCK_MIN or more samples take the block product, in rows of _BLOCK;
-# shorter ones take mode_factor, which keeps the bytes of 2^10 and 2^11 auto grids
-# (the block product is the faster from about 250 samples on)
-_BLOCK, _BLOCK_MIN = 128, 2048
+# block-product row length
+_BLOCK = 128
 # block-product row and column indices split as _FINE coarse + fine, fine < _FINE
 _FINE = 16
 # Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
@@ -151,19 +149,17 @@ class GridPlan:
         return buffer[:rows], buffer[rows:]
 
 
-def uniform_plan(start: float, step: float, count: int) -> GridPlan | np.ndarray:
-    """The nominal times start + j step, j = 0 .. count - 1, for decoherence_factor.
+def uniform_plan(start: float, step: float, count: int) -> GridPlan:
+    """The GridPlan of the nominal times start + j step, j = 0 .. count - 1.
 
-    Under 2048 samples they are the float times start + np.arange(count) *
-    step, which take mode_factor.  From 2048 on they are a GridPlan: the
-    times split into rows of 128 samples, in chunks of about 2^15 samples
-    (a short tail joins the last chunk), with every 16th row and column
-    time and the 16 fine offsets within each held exactly (_exact_times).
+    Every count >= 0 gives one, and decoherence_factor takes the block
+    product on it: the times split into rows of 128 samples, in chunks of
+    about 2^15 samples (a short tail joins the last chunk), with every 16th
+    row and column time and the 16 fine offsets within each held exactly
+    (_exact_times).
     """
-    if count < _BLOCK_MIN:
-        return start + np.arange(count) * step
     rows = -(-count // _BLOCK)
-    chunk_rows = -(-rows // max(1, rows // (_CHUNK // _BLOCK)))
+    chunk_rows = max(1, -(-rows // max(1, rows // (_CHUNK // _BLOCK))))
     fine = np.arange(_FINE, dtype=float)
     parts = [np.arange(0, _BLOCK, _FINE, dtype=float), fine, fine * _BLOCK]
     parts += [np.arange(a, min(a + chunk_rows, rows), _FINE) * float(_BLOCK)
@@ -171,7 +167,7 @@ def uniform_plan(start: float, step: float, count: int) -> GridPlan | np.ndarray
     bounds = np.cumsum([0] + [part.size for part in parts])
     slices = [slice(*bounds[i : i + 2]) for i in range(len(parts))]
     origin = np.zeros(bounds[-1])
-    origin[slices[3].start :] = start  # row times start from start, column times from 0
+    origin[bounds[3] :] = start  # row times start from start, column times from 0
     exact = _exact_times(origin, np.concatenate(parts), step)
     chunks = tuple(
         (a, min(chunk_rows, rows - a), coarse)

@@ -567,14 +567,13 @@ def threshold_crossing_time(
     def ratio(t, times) -> np.ndarray:
         return np.abs(weighted_echo(table, state, t)) * np.exp(-gamma * times) / s0
 
-    # each segment at its nominal times; one of 2048 samples or more takes the
-    # block echo product: the head for a horizon past ~10.2, the tail past ~225
+    # each segment takes the block echo product at its nominal times
     split = min(20.0, horizon)
     ts, r = [], []
     for a, b, step in ((0.0, split, 0.005), (split, horizon, 0.1)):
-        count = max(0, math.ceil((b - a) / step))  # np.arange's count
-        ts.append(a + np.arange(count) * step)
-        r.append(ratio(uniform_plan(a, step, count), ts[-1]))
+        plan = uniform_plan(a, step, max(0, math.ceil((b - a) / step)))  # np.arange's count
+        ts.append(plan.times())
+        r.append(ratio(plan, ts[-1]))
     ts, r = np.concatenate(ts), np.concatenate(r)
     below = np.nonzero(r < _CROSSING_THRESHOLD)[0]
     if below.size == 0:

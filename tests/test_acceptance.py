@@ -403,7 +403,8 @@ class TestCriterion9:
         assert elapsed < 300.0
 
     def test_per_sample_cost_linear_in_chain_length(self):
-        # the two sizes alternate, so a noisy neighbour slows both sides alike
+        # the two sizes alternate, and each takes the fastest of its repeats:
+        # a host stall can slow a repeat, never speed one up
         t = np.linspace(0.0, 100.0, 1 << 13)
         tables = {n: iq.build_mode_table(chain(n, 1.0), n_max=1) for n in (1000, 500)}
         for table in tables.values():
@@ -414,7 +415,7 @@ class TestCriterion9:
                 tick = time.perf_counter()
                 iq.decoherence_factor(table, 1, t)
                 samples[n_sites].append(time.perf_counter() - tick)
-        ratio = float(np.median(samples[1000]) / np.median(samples[500]))
+        ratio = float(min(samples[1000]) / min(samples[500]))
         ok = 1.6 <= ratio <= 2.4
         report(
             9,

@@ -20,7 +20,6 @@ from isingspec import (
 )
 from isingspec import decoherence
 from isingspec.decoherence import (
-    GridPlan,
     _block_product,
     _channel_sums,
     _exact_times,
@@ -250,16 +249,17 @@ class TestDecoherenceFactor:
 
 
 class TestBlockFactorizedPath:
-    """Uniform plans of at least 2048 samples take the block product."""
+    """Uniform plans take the block product; arrays of times take mode_factor."""
 
     @pytest.mark.parametrize("lam", [0.25, 1.0, 100.0])
     @pytest.mark.parametrize("n_sites", [2, 16, 1000])
     def test_error_against_extended_precision(self, n_sites, lam):
         table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=0.08125), n_max=1)
-        # four whole blocks, a one-sample tail, the 2^16 grid's half-grid,
-        # and two grids that do not start at t = 0: linspace(0.1, 300, 4096)
-        # and the threshold-scan tail arange(20, 708.5, 0.1)
-        grids = [(0.0, UNIFORM_DT, n) for n in (2048, 2049, 32769)]
+        # one-sample tails behind 1, 4 and 16 whole rows of 128, one sample
+        # short of 16 rows, 16 rows, the 2^16 grid's half-grid, and two grids
+        # that do not start at t = 0: linspace(0.1, 300, 4096) and the
+        # threshold-scan tail arange(20, 708.5, 0.1)
+        grids = [(0.0, UNIFORM_DT, n) for n in (129, 513, 2047, 2048, 2049, 32769)]
         grids += [(0.1, (300.0 - 0.1) / 4095, 4096), (20.0, 0.1, 6885)]
         for start, step, count in grids:
             plan = uniform_plan(start, step, count)
@@ -288,17 +288,12 @@ class TestBlockFactorizedPath:
             * UNIFORM_DT,
             # uniform and long, but an array: only a uniform plan takes the block
             np.arange(32769) * UNIFORM_DT,
-            # one sample short of the block floor: its float times start + j step
-            uniform_plan(0.0, UNIFORM_DT, 2047),
         ],
-        ids=["short", "2047", "2d", "single", "jittered", "long-array", "short-plan"],
+        ids=["short", "2047", "2d", "single", "jittered", "long-array"],
     )
     def test_other_grids_keep_the_loop_bitwise(self, t):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
-        times = t.times() if isinstance(t, GridPlan) else t
-        np.testing.assert_array_equal(
-            decoherence_factor(table, 1, t), loop_reference(table, 1, times)
-        )
+        np.testing.assert_array_equal(decoherence_factor(table, 1, t), loop_reference(table, 1, t))
 
     def test_plan_and_workspace_keep_the_bits(self):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=2)

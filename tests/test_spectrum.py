@@ -32,7 +32,7 @@ from isingspec import (
     weighted_echo,
 )
 from isingspec import spectrum
-from isingspec.decoherence import GridPlan, uniform_plan
+from isingspec.decoherence import uniform_plan
 from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
@@ -283,26 +283,20 @@ class TestSpectrumFFT:
         deviation = np.linalg.norm(spec.values - expected) / np.linalg.norm(expected)
         assert deviation <= 1e-12
 
+    # every half-grid takes the block product at the nominal times j dt
     @pytest.mark.parametrize(
-        "grid, route",
+        "grid",
         [
-            ((300.0, 4096), "block"),  # a dyadic step
-            ((257.3, 4096), "block"),  # a full 53-bit step
-            ((150.0, 2048), "mode_factor"),  # a 1025-sample half-grid
+            (300.0, 4096),  # a dyadic step
+            (257.3, 4096),  # a full 53-bit step
+            (150.0, 2048),  # a 1025-sample half-grid
         ],
-        ids=["block-dyadic", "block", "mode-factor"],
+        ids=["block-dyadic", "block", "block-1025"],
     )
     @pytest.mark.parametrize("n_sites", [4, 8])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("probe", ["fock", "coherent"])
-    def test_matches_discrete_line_kernel_on_explicit_grids(
-        self, n_sites, lam, probe, grid, route
-    ):
-        # the route is structural: a half-grid of 2048 samples or more
-        # takes the block product at the nominal times j dt
-        t_max, n_samples = grid
-        plan = uniform_plan(0.0, 2.0 * t_max / n_samples, n_samples // 2 + 1)
-        assert ("block" if isinstance(plan, GridPlan) else "mode_factor") == route
+    def test_matches_discrete_line_kernel_on_explicit_grids(self, n_sites, lam, probe, grid):
         self.test_matches_discrete_line_kernel(n_sites, lam, probe, grid)
 
     def test_probe_phase_invariance(self):
@@ -580,8 +574,8 @@ class TestAutoTimeGrid:
 
 
 class TestThresholdCrossing:
-    # 0.01: a block tail of 2564 samples; 0.2 and 0.5: an empty tail behind
-    # a head of 2764 samples (block product) or 1106 (mode_factor)
+    # 0.01: a tail of 2564 samples; 0.2 and 0.5: a head of 2764 or 1106
+    # samples and an empty tail, a plan of no samples
     @pytest.mark.parametrize("gamma", [0.01, 0.2, 0.5])
     def test_zero_coupling_crossing_is_envelope_time(self, gamma):
         p = params_for(g_over_b=0.0, gamma_over_b=gamma)
