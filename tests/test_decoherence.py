@@ -20,6 +20,7 @@ from isingspec import (
 )
 from isingspec import decoherence
 from isingspec.decoherence import (
+    GridPlan,
     _block_product,
     _channel_sums,
     _exact_times,
@@ -294,6 +295,21 @@ class TestBlockFactorizedPath:
     def test_other_grids_keep_the_loop_bitwise(self, t):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
         np.testing.assert_array_equal(decoherence_factor(table, 1, t), loop_reference(table, 1, t))
+
+    @pytest.mark.parametrize(
+        "start, count", [(3.7, 0), (3.7, 1), (0.0, 127)], ids=["empty", "one", "short-plan"]
+    )
+    def test_short_plans_take_the_block_product(self, start, count):
+        # no size floor: a plan of no samples, or of less than one row of
+        # 128, still runs the block product and agrees with mode_factor
+        table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
+        plan = uniform_plan(start, UNIFORM_DT, count)
+        assert isinstance(plan, GridPlan) and plan.size == count
+        block = decoherence_factor(table, 1, plan, workspace=plan.workspace())
+        times = plan.times()
+        assert block.shape == times.shape == (count,)
+        np.testing.assert_array_equal(block, decoherence_factor(table, 1, plan))
+        np.testing.assert_allclose(block, decoherence_factor(table, 1, times), rtol=0, atol=1e-13)
 
     def test_plan_and_workspace_keep_the_bits(self):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=2)
