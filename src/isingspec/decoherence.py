@@ -23,9 +23,6 @@ import numpy as np
 from .chain import ModeTable
 from .errors import CapacityError, ParameterError
 
-# below this magnitude an accumulated product is flushed to exactly zero
-UNDERFLOW_CLAMP = 1e-300
-
 # hard cap on enumerable momentum pairs: 4**14 configurations
 MAX_ENUMERABLE_MODES = 14
 
@@ -198,20 +195,17 @@ def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
     reproducible.  A GridPlan (see uniform_plan) takes a block-factorized
     product at its nominal times start + j step; any other t is times of
     any shape, and takes mode_factor itself at them, broadcast over modes
-    and time chunks.  Magnitudes below 1e-300 are flushed to exactly zero.
-    workspace, from plan.workspace(), holds the block product's buffers:
-    the result is written into it and returned as a view.  It does not
-    change a bit of the result.
+    and time chunks.  workspace, from plan.workspace(), holds the block
+    product's buffers: the result is written into it and returned as a
+    view.  It does not change a bit of the result.
     """
     coeffs, eps_n, eps_p = _branch_pair(table, n)
     if isinstance(t, GridPlan):
         weights = _channel_sums(coeffs)
         tones = (eps_n + eps_p, eps_n - eps_p)
-        out = _block_product(weights, tones, t, workspace or t.workspace())
-    else:
-        t = np.asarray(t, dtype=float)
-        out = _mode_product(coeffs, eps_n, eps_p, t.reshape(-1)).reshape(t.shape)
-    out[np.abs(out) < UNDERFLOW_CLAMP] = 0.0
+        return _block_product(weights, tones, t, workspace or t.workspace())
+    t = np.asarray(t, dtype=float)
+    out = _mode_product(coeffs, eps_n, eps_p, t.reshape(-1)).reshape(t.shape)
     return out[()]  # a scalar for a scalar t
 
 

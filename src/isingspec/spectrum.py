@@ -141,13 +141,13 @@ def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
     thread allocates, under the caller's numpy error state.  The sum is
     taken in ascending n all the same, so the result has the same bits at
     any threads.  A single branch, threads=1, and times run on the calling
-    thread alone; a probe with no populated branch gets zeros without a
-    workspace.
+    thread alone; a call with no populated branch or no sample gets zeros
+    without a workspace.
     """
     branches = list(_populated_branches(table, state).items())
     block = isinstance(t, GridPlan)
     acc = np.zeros(t.size if block else np.shape(t), dtype=complex)
-    if not branches:
+    if not branches or not acc.size:
         return acc
     workers = min(_threads(threads), len(branches)) if block else 1
     workspaces = [t.workspace() for _ in range(workers)] if block else [None]
@@ -277,14 +277,12 @@ def correlation_series(
     """
     TimeGrid(t_max=t_max, n_samples=n_samples)  # validates the grid
     dt = 2.0 * t_max / n_samples
-    half = np.arange(n_samples // 2 + 1) * dt  # 0 .. t_max inclusive
     # phases omega * t past the float range overflow to inf and then NaN;
     # the finiteness check below reports that as one NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
-        # the echo at the nominal times j dt; a vacuum probe needs no plan
-        grid = uniform_plan(0.0, dt, half.size) if _populated_branches(table, state) else half
-        positive = weighted_echo(table, state, grid, threads)
-        positive *= np.exp(-params.gamma_over_b * half)
+        plan = uniform_plan(0.0, dt, n_samples // 2 + 1)  # j dt, 0 .. t_max inclusive
+        positive = weighted_echo(table, state, plan, threads)
+        positive *= np.exp(-params.gamma_over_b * plan.times())
     if not np.isfinite(positive).all():
         raise NumericsError(f"S(t) is not finite at lambda={params.lam:g} on t_max={t_max:g}")
 

@@ -21,7 +21,6 @@ from isingspec import (
 from isingspec import decoherence
 from isingspec.decoherence import (
     GridPlan,
-    _block_product,
     _channel_sums,
     _exact_times,
     _phase_table,
@@ -279,21 +278,27 @@ class TestBlockFactorizedPath:
             assert block_error <= 2.0 * loop_error + 1e-15, (count, block_error, loop_error)
 
     @pytest.mark.parametrize(
-        "t",
+        "n_sites, g_over_b, t",
         [
-            np.arange(1023) * UNIFORM_DT,
-            np.arange(2047) * UNIFORM_DT,
-            (np.arange(2048) * UNIFORM_DT).reshape(2, 1024),  # not 1-D
-            np.array([3.7]),
-            (np.arange(4096) + np.random.default_rng(3).uniform(-0.25, 0.25, 4096))
-            * UNIFORM_DT,
+            (100, 0.08125, np.arange(1023) * UNIFORM_DT),
+            (100, 0.08125, np.arange(2047) * UNIFORM_DT),
+            (100, 0.08125, (np.arange(2048) * UNIFORM_DT).reshape(2, 1024)),  # not 1-D
+            (100, 0.08125, np.array([3.7])),
+            (
+                100,
+                0.08125,
+                (np.arange(4096) + np.random.default_rng(3).uniform(-0.25, 0.25, 4096))
+                * UNIFORM_DT,
+            ),
             # uniform and long, but an array: only a uniform plan takes the block
-            np.arange(32769) * UNIFORM_DT,
+            (100, 0.08125, np.arange(32769) * UNIFORM_DT),
+            # four samples with |D| in (0, 1e-300), the smallest 1.4e-320
+            (1000, 1.0, np.arange(4097) * 0.01),
         ],
-        ids=["short", "2047", "2d", "single", "jittered", "long-array"],
+        ids=["short", "2047", "2d", "single", "jittered", "long-array", "subnormal"],
     )
-    def test_other_grids_keep_the_loop_bitwise(self, t):
-        table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
+    def test_other_grids_keep_the_loop_bitwise(self, n_sites, g_over_b, t):
+        table = build_mode_table(params_for(n_sites=n_sites, lam=1.0, g_over_b=g_over_b), n_max=1)
         np.testing.assert_array_equal(decoherence_factor(table, 1, t), loop_reference(table, 1, t))
 
     @pytest.mark.parametrize(
@@ -324,29 +329,34 @@ class TestBlockFactorizedPath:
         np.testing.assert_array_equal(plan.times(), np.arange(32769) * UNIFORM_DT)
 
     @pytest.mark.parametrize(
-        "n_sites, lam, grid",
+        "n_sites, lam, g_over_b, grid",
         [
-            (2, 1.0, (0.0, UNIFORM_DT, 32769)),  # one mode
-            (38, 1.0, (0.0, UNIFORM_DT, 32769)),  # 19 modes: a short last group
-            (1000, 0.25, (0.0, UNIFORM_DT, 32769)),
-            (1000, 1.0, (0.0, UNIFORM_DT, 32769)),
-            (1000, 100.0, (0.0, UNIFORM_DT, 32769)),
-            (38, 1.0, (0.0, UNIFORM_DT, 131073)),  # five chunks
-            (38, 1.0, (20.0, 0.1, 6885)),  # does not start at 0
+            (2, 1.0, 0.08125, (0.0, UNIFORM_DT, 32769)),  # one mode
+            (38, 1.0, 0.08125, (0.0, UNIFORM_DT, 32769)),  # 19 modes: a short last group
+            (1000, 0.25, 0.08125, (0.0, UNIFORM_DT, 32769)),
+            (1000, 1.0, 0.08125, (0.0, UNIFORM_DT, 32769)),
+            (1000, 100.0, 0.08125, (0.0, UNIFORM_DT, 32769)),
+            (38, 1.0, 0.08125, (0.0, UNIFORM_DT, 131073)),  # five chunks
+            (38, 1.0, 0.08125, (20.0, 0.1, 6885)),  # does not start at 0
             # the explicit grid t_max = 300, 4096 samples: a dyadic step, so
             # every row and column time is exact
-            (38, 1.0, (0.0, 2.0 * 300.0 / 4096, 2049)),
+            (38, 1.0, 0.08125, (0.0, 2.0 * 300.0 / 4096, 2049)),
+            # four samples with |D| in (0, 1e-300), the smallest 1.4e-320
+            (1000, 1.0, 1.0, (0.0, 0.01, 4097)),
         ],
-        ids=["n2", "n38", "n1000-0.25", "n1000-1", "n1000-100", "chunks", "offset", "exact"],
+        ids=[
+            "n2", "n38", "n1000-0.25", "n1000-1", "n1000-100", "chunks", "offset", "exact",
+            "subnormal",
+        ],
     )
-    def test_grouped_tables_keep_the_per_mode_bits(self, n_sites, lam, grid):
-        table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=0.08125), n_max=1)
+    def test_grouped_tables_keep_the_per_mode_bits(self, n_sites, lam, g_over_b, grid):
+        table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=g_over_b), n_max=1)
         plan = uniform_plan(*grid)
         assert plan.chunks
         c = mode_coefficients(table.alpha[1], table.alpha[0])
         weights = _channel_sums(c)
         tones = (table.epsilon[1] + table.epsilon[0], table.epsilon[1] - table.epsilon[0])
-        grouped = _block_product(weights, tones, plan, plan.workspace())
+        grouped = decoherence_factor(table, 1, plan)
         reference = per_mode_block_reference(weights, tones, plan)
         np.testing.assert_array_equal(grouped.view(np.uint64), reference.view(np.uint64))
 

@@ -59,17 +59,19 @@ class TestCorrelationSeries:
         np.testing.assert_allclose(series.values, 0.0, atol=1e-15)
 
     def test_vacuum_probe_allocates_no_block_buffers(self, monkeypatch):
-        # no plan from (start, step, count), and no block workspace either
+        # no block workspace for a probe with no populated branch, nor for a
+        # plan with no sample
         def refused(*args):
-            raise AssertionError("plan or workspace built for a probe with no populated branch")
+            raise AssertionError("workspace built for a call with nothing to compute")
 
         p = params_for()
         table = build_mode_table(p, n_max=1)
         assert uniform_plan(0.0, 100.0 / 4096, 2049).chunks  # the half-grid's block path
         monkeypatch.setattr("isingspec.decoherence.GridPlan.workspace", refused)
-        monkeypatch.setattr("isingspec.spectrum.uniform_plan", refused)
         series = correlation_series(p, table, fock_superposition([1]), 50.0, 4096, threads=2)
         np.testing.assert_array_equal(series.values, 0.0)
+        echo = weighted_echo(table, fock_superposition([1, 1]), uniform_plan(20.0, 0.1, 0))
+        assert echo.dtype == complex and echo.shape == (0,)
 
     def test_time_zero_equals_mean_photon_number(self):
         p = params_for()
