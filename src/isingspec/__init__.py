@@ -47,7 +47,9 @@ from .spectrum import (
     lorentzian,
     spectrum_analytic,
     spectrum_fft,
+    sweep,
     threshold_crossing_time,
+    transform,
     weighted_echo,
 )
 from .oracle import (
@@ -109,6 +111,8 @@ __all__ = [
     "oracle_spectrum",
     "spectrum_analytic",
     "spectrum_fft",
+    "sweep",
     "threshold_crossing_time",
+    "transform",
     "weighted_echo",
 ]

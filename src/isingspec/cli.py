@@ -1,4 +1,4 @@
-"""Command line interface: config parsing, sweeps, and deterministic output.
+"""Command line interface: config parsing, sweep commands, and deterministic output.
 
 One JSON config document drives every subcommand.  Files are written with a
 comment header carrying the resolved configuration and tool version, floats
@@ -13,8 +13,6 @@ import dataclasses
 import json
 import math
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -35,15 +33,7 @@ from .errors import (
 from .oracle import comparison_suite
 from .params import ChainParams, PhysicalParams, derive_chain_params
 from .probe import ProbeState, coherent_state, fock_superposition
-from .spectrum import (
-    TimeGrid,
-    _populated_branches,
-    _threads,
-    auto_time_grid,
-    broadening_metrics,
-    correlation_series,
-    spectrum_fft,
-)
+from .spectrum import TimeGrid, _populated_branches, sweep, transform
 
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
@@ -54,8 +44,6 @@ _FLOAT_FMT = "%.17g"
 # values per formatted CSV block: numpy's per-call cost is spread over this
 # many values, and one block's buffers peak at about 1.5 MB
 _CSV_CHUNK = 8192
-# one lambda's transform at a time: two never hold their FFT buffers at once
-_TRANSFORM_LOCK = threading.Lock()
 
 
 def _fmt(x: float) -> str:
@@ -306,54 +294,18 @@ def _lambda_tag(lam: float) -> str:
 def _run_sweep(cfg: dict, out_flag: str | None, threads: int, finish):
     """Output directory, and finish(out, params, grid, series) per lambda in sweep order.
 
-    Chain, probe and sweep are parsed once, and per lambda the mode table
-    built and the time grid resolved by auto_time_grid (the config's
-    explicit grid, checked against the band estimate, or the auto grid),
-    before the pool starts: a grid error at any lambda writes nothing.  Each
-    worker then computes the correlation series of its lambda and hands it
-    to finish, which writes what it needs and returns what the caller
-    keeps, so a series is dropped as soon as its own lambda is done.  The
-    thread budget (0: the CPUs this process may use) runs
-    min(budget, lambdas) lambdas at a time and gives each
-    max(1, budget // lambdas) threads for its populated branches.  A
-    MemoryError in a worker becomes a CapacityError naming its lambda and
-    grid size; files that other lambdas have written stay.
+    Config and output directory are parsed first; then spectrum.sweep runs
+    finish on its workers.  Files that other lambdas have written stay.
     """
-    chain = parse_chain(cfg)
-    state = parse_probe(cfg)
-    sweep = parse_sweep(cfg, chain)
-    explicit = parse_time_grid(cfg)
-    runs = []
-    for lam in sweep:
-        params = dataclasses.replace(chain, lam=lam)
-        table = build_mode_table(params, n_max=max(state.n_max, 1))
-        runs.append((params, table, auto_time_grid(params, table, state, explicit)))
+    chain, state = parse_chain(cfg), parse_probe(cfg)
+    lams, grid = parse_sweep(cfg, chain), parse_time_grid(cfg)
     out = _out_dir(cfg, out_flag)
-    budget = _threads(threads)
-    branch_threads = max(1, budget // len(runs))
-
-    def job(run):
-        params, table, grid = run
-        try:
-            series = correlation_series(
-                params, table, state, grid.t_max, grid.n_samples, branch_threads
-            )
-            return finish(out, params, grid, series)
-        except MemoryError:
-            raise CapacityError(
-                f"out of memory at lambda={params.lam:g} on a grid of "
-                f"{grid.n_samples} samples"
-            ) from None
-
-    with ThreadPoolExecutor(max_workers=min(budget, len(runs))) as pool:
-        return out, list(pool.map(job, runs))
+    return out, sweep(chain, state, lams, lambda *run: finish(out, *run), grid, threads)
 
 
 def _transform(params: ChainParams, series):
-    """The spectrum of one lambda's series and its metrics record, under _TRANSFORM_LOCK."""
-    with _TRANSFORM_LOCK:
-        spec = spectrum_fft(series)
-        metrics = broadening_metrics(spec)
+    """The spectrum of one lambda's series and its metrics record."""
+    spec, metrics = transform(series)
     record = {
         "lambda": params.lam,
         "w90": metrics.w90,
@@ -449,8 +401,7 @@ def cmd_correlation(cfg: dict, out_flag: str | None, threads: int):
         }
         return [_write_csv(path, _header_lines(cfg, grid), columns)]
 
-    _, written = _run_sweep(cfg, out_flag, threads, finish)
-    for paths in written:
+    for paths in _run_sweep(cfg, out_flag, threads, finish)[1]:
         yield from paths
 
 
@@ -468,8 +419,7 @@ def cmd_spectrum(cfg: dict, out_flag: str | None, threads: int):
             _write_metrics(out / f"metrics_lambda_{tag}.json", cfg, metrics=metrics),
         ]
 
-    _, written = _run_sweep(cfg, out_flag, threads, finish)
-    for paths in written:
+    for paths in _run_sweep(cfg, out_flag, threads, finish)[1]:
         yield from paths
 
 

@@ -16,7 +16,7 @@ exact-diagonalization echo.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,7 +216,7 @@ def _mode_product(coeffs: ModeCoefficients, eps_n, eps_p, t: np.ndarray) -> np.n
     # of a one-element array differently from a longer one's
     width = max(1, -(-t.size // max(1, -(-t.size // _CHUNK))))
     group = _CHUNK // width
-    fields = astuple(coeffs)
+    fields = (coeffs.pp, coeffs.pm, coeffs.mp, coeffs.mm)
     for k in range(0, eps_n.size, group):
         m = slice(k, k + group)
         part = ModeCoefficients(*(c[m, None] for c in fields))
@@ -262,9 +262,9 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     exp(i w x_c) exp(i w x_f) at the plan's exact coarse and fine times x_c
     and x_f, each factor to double precision (_phase_table), and their
     product adds one complex rounding.  So each tone takes 40 + rows / 16
-    complex exponentials, all in one _phase_table, and each table entry one
-    complex multiply.  The factors are built for _GROUP modes at a time, a
-    few numpy calls per group (the phases and V once per group, U per
+    complex exponentials, and each table entry one complex multiply.  The
+    factors are built for _GROUP modes at a time, a few numpy calls per
+    group (V once per group, the phases once per _table_parts part, U per
     chunk).  The per-mode loop then makes only chunk-sized calls, which
     release the GIL, so branch and lambda threads do not queue on each
     other's bookkeeping: the product and acc *= F.  Every element sees the
@@ -283,14 +283,15 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     # weighted.  Every call runs along the columns: one whose innermost axis
     # is the 2-long (re, im) slot cost a sixth of the whole kernel
     v_groups = np.empty((_GROUP, 2, 2, _BLOCK // _FINE, _FINE, 2))
+    parts = _table_parts(plan)
     for first in range(0, tone_pairs.shape[0], _GROUP):
         w = tone_pairs[first : first + _GROUP]
         w_split = _veltkamp_split(w)
         cs, ds = (x[first : first + _GROUP, ..., None] for x in (cos_w, sin_w))
         modes = w.shape[0]
         v = v_groups[:modes]
-        phases = _phase_table(w, w_split, *plan.exact)
-        coarse, fine = (phases[..., part] for part in plan.columns)
+        head = _phase_table(w, w_split, *parts[0][0])  # with the column and fine row times
+        coarse, fine = (head[..., part] for part in plan.columns)
         np.multiply(coarse[..., None], fine[..., None, :], out=v[:, :, 0].view(complex)[..., 0])
         re, im = v[:, :, 0, ..., 0], v[:, :, 0, ..., 1]
         np.multiply(im, -cs, out=v[:, :, 1, ..., 0])
@@ -298,16 +299,39 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
         re *= cs
         im *= ds
         v = v.reshape(modes, 4, 2 * _BLOCK)
-        fine_rows = phases[..., None, plan.fine_rows]
-        for start, r, coarse in plan.chunks:
-            acc, f_r = out[start : start + r], f[:r]
-            rows = np.multiply(phases[..., coarse, None], fine_rows).reshape(modes, 2, -1)[..., :r]
-            # U as (mode, row, (tone, (re, im)))
-            u = rows.swapaxes(1, 2).copy().view(float)
-            for m in range(modes):  # ascending k
-                np.matmul(u[m], v[m], out=f_r.view(float))
-                acc *= f_r
+        fine_rows = head[..., None, plan.fine_rows]
+        for i, (exact, chunks) in enumerate(parts):
+            phases = _phase_table(w, w_split, *exact) if i else head
+            for start, r, coarse in chunks:
+                acc, f_r = out[start : start + r], f[:r]
+                rows = np.multiply(phases[..., coarse, None], fine_rows).reshape(modes, 2, -1)
+                # U as (mode, row, (tone, (re, im)))
+                u = rows[..., :r].swapaxes(1, 2).copy().view(float)
+                for m in range(modes):  # ascending k
+                    np.matmul(u[m], v[m], out=f_r.view(float))
+                    acc *= f_r
     return out.reshape(-1)[: plan.size]
+
+
+def _table_parts(plan: GridPlan) -> list:
+    """(exact times, chunks) per phase table of _block_product.
+
+    The first part holds the column and fine row times; each part holds the
+    coarse row times of at most 16 chunks (about 2^19 samples), so a group's
+    phase tables stay the same size on longer grids.  A part's chunks index
+    its own times.
+    """
+    per_part = _CHUNK // (_BLOCK * _FINE)
+    times, (times_hi, times_lo), miss = plan.exact
+    lo, parts = 0, []
+    for i in range(0, max(1, len(plan.chunks)), per_part):
+        chunks = plan.chunks[i : i + per_part]
+        hi = chunks[-1][2].stop if chunks else plan.fine_rows.stop
+        part = slice(lo, hi)
+        exact = times[part], (times_hi[part], times_lo[part]), miss[part]
+        parts.append((exact, [(a, r, slice(c.start - lo, c.stop - lo)) for a, r, c in chunks]))
+        lo = hi
+    return parts
 
 
 def _product_error(a_split, b_split, product):

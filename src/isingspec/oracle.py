@@ -97,15 +97,23 @@ def oracle_decoherence(n_sites: int, params: ChainParams, n_branch: int, t):
     """Echo <G| exp(i H_n t) exp(-i H_{n-1} t) |G> by spectral decomposition.
 
     |G> is the even-parity ground state of the uncoupled chain; both branch
-    propagators come from dense eigendecompositions of the even block.
+    propagators come from dense eigendecompositions of the even block.  The
+    times go in blocks of at most 2^16 / 2^(N-1), so each (state, time)
+    array stays within 1 MB.
     """
     e_n, e_p, mixer = _branch_overlaps(n_sites, params, n_branch)
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array(
-        [np.exp(1j * e_n * tt) @ mixer @ np.exp(-1j * e_p * tt) for tt in tarr]
-    )
-    return out[0] if scalar else out
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1)
+    out = np.empty(times.shape, dtype=complex)
+    block = max(1, (1 << 16) // e_n.size)
+    for start in range(0, times.size, block):
+        tt = times[start : start + block]
+        left = np.exp(1j * np.multiply.outer(e_n, tt))
+        right = np.exp(-1j * np.multiply.outer(e_p, tt))
+        # mixer @ right in real arithmetic: right's columns as (re, im) pairs
+        mixed = (mixer @ right.view(float)).view(complex)
+        out[start : start + block] = (left * mixed).sum(axis=0)
+    return out.reshape(t.shape)[()]  # a scalar for a scalar t
 
 
 def oracle_mode_factor(eps_n, eps_prev, alpha_n, alpha_prev, t):

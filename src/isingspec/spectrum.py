@@ -1,4 +1,4 @@
-"""Correlation series, spectra, and the broadening metrics.
+"""Correlation series, spectra, the broadening metrics, and the lambda sweep.
 
 S(t) weighs each branch echo by n |c_n|^2 and multiplies in the
 phenomenological exp(-Gamma |t|) envelope; S(omega) is its two-sided
@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ModeTable
+from .chain import ModeTable, build_mode_table
 from .decoherence import (
     GridPlan,
     decoherence_factor,
@@ -45,6 +46,8 @@ _NOISE_FLOOR = 1e-12
 _SPACING_REL_TOL = 1e-6
 # threshold_crossing_time: the |S(t)| / S(0) level that counts as collapsed
 _CROSSING_THRESHOLD = 0.1
+# one transform at a time: two sweep workers never hold their FFT buffers at once
+_TRANSFORM_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -327,6 +330,49 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
     frequencies.setflags(write=False)
     values.setflags(write=False)
     return Spectrum(frequencies=frequencies, values=values, imag_residual=residual)
+
+
+def transform(series: CorrelationSeries) -> tuple[Spectrum, BroadeningMetrics]:
+    """spectrum_fft(series) and its broadening_metrics, one call at a time per process."""
+    with _TRANSFORM_LOCK:
+        spec = spectrum_fft(series)
+        return spec, broadening_metrics(spec)
+
+
+def sweep(chain: ChainParams, state: ProbeState, lams, finish, grid=None, threads: int = 0):
+    """finish(params, grid, series) for chain at each lambda of lams, in sweep order.
+
+    Every lambda's mode table and auto_time_grid (of grid, or the auto grid)
+    are resolved before any work, so a grid error calls no finish.  The
+    budget of threads (0: the CPUs this process may use) runs min(budget,
+    lambdas) lambdas at once, each on max(1, budget // lambdas) branch
+    threads, and finish on its worker.  A MemoryError there becomes a
+    CapacityError naming the lambda and its sample count.
+    """
+    runs = []
+    for lam in lams:
+        params = replace(chain, lam=lam)
+        table = build_mode_table(params, n_max=max(state.n_max, 1))
+        runs.append((params, table, auto_time_grid(params, table, state, grid)))
+    if not runs:
+        return []
+    budget = _threads(threads)
+    branch_threads = max(1, budget // len(runs))
+
+    def job(run):
+        params, table, resolved = run
+        try:
+            series = correlation_series(
+                params, table, state, resolved.t_max, resolved.n_samples, branch_threads
+            )
+            return finish(params, resolved, series)
+        except MemoryError:
+            raise CapacityError(
+                f"out of memory at lambda={params.lam:g} on a grid of {resolved.n_samples} samples"
+            ) from None
+
+    with ThreadPoolExecutor(max_workers=min(budget, len(runs))) as pool:
+        return list(pool.map(job, runs))
 
 
 def lorentzian(omega, center, gamma: float):

@@ -110,7 +110,7 @@ class TestWriteCsv:
         def crafted(params, table, state, t_max, n_samples, threads=0):
             return CorrelationSeries(t_max=t_max, times=times, values=values)
 
-        monkeypatch.setattr("isingspec.cli.correlation_series", crafted)
+        monkeypatch.setattr("isingspec.spectrum.correlation_series", crafted)
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
         assert runner.invoke(main, ["correlation", "--config", str(cfg_path)]).exit_code == 0
@@ -286,7 +286,7 @@ class TestSpectrumCommand:
         def unsound(series):
             raise NumericsError("imaginary residue too large")
 
-        monkeypatch.setattr("isingspec.cli.spectrum_fft", unsound)
+        monkeypatch.setattr("isingspec.spectrum.spectrum_fft", unsound)
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
         result = runner.invoke(main, ["spectrum", "--config", str(cfg_path)])
@@ -298,14 +298,14 @@ class TestOutOfMemory:
     def test_sweep_worker_is_capacity_error_and_keeps_written_files(
         self, runner, tmp_path, monkeypatch
     ):
-        real = isingspec.cli.correlation_series
+        real = isingspec.spectrum.correlation_series
 
         def exhausted_at_one(params, table, state, t_max, n_samples, threads=0):
             if params.lam == 1.0:
                 raise MemoryError
             return real(params, table, state, t_max, n_samples, threads)
 
-        monkeypatch.setattr("isingspec.cli.correlation_series", exhausted_at_one)
+        monkeypatch.setattr("isingspec.spectrum.correlation_series", exhausted_at_one)
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sweep=[0.5, 1.0])
         args = ["correlation", "--config", str(cfg_path), "--threads", "1"]
@@ -363,7 +363,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("command", ["sweep", "spectrum"])
     def test_lambda_transforms_run_one_at_a_time(self, runner, tmp_path, monkeypatch, command):
         # two lambda threads never hold their transform buffers at once
-        real = isingspec.cli.spectrum_fft
+        real = isingspec.spectrum.spectrum_fft
         inside, most = [], []
 
         def held(series):
@@ -373,7 +373,7 @@ class TestSweepCommand:
             inside.pop()
             return real(series)
 
-        monkeypatch.setattr("isingspec.cli.spectrum_fft", held)
+        monkeypatch.setattr("isingspec.spectrum.spectrum_fft", held)
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path, sweep=[0.5, 1.0, 2.0, 5.0])
         args = [command, "--config", str(cfg_path), "--threads", "2"]

@@ -337,6 +337,7 @@ class TestBlockFactorizedPath:
             (1000, 1.0, 0.08125, (0.0, UNIFORM_DT, 32769)),
             (1000, 100.0, 0.08125, (0.0, UNIFORM_DT, 32769)),
             (38, 1.0, 0.08125, (0.0, UNIFORM_DT, 131073)),  # five chunks
+            (38, 1.0, 0.08125, (0.0, UNIFORM_DT, 17 * 32768 + 1)),  # 17 chunks: two tables
             (38, 1.0, 0.08125, (20.0, 0.1, 6885)),  # does not start at 0
             # the explicit grid t_max = 300, 4096 samples: a dyadic step, so
             # every row and column time is exact
@@ -345,8 +346,8 @@ class TestBlockFactorizedPath:
             (1000, 1.0, 1.0, (0.0, 0.01, 4097)),
         ],
         ids=[
-            "n2", "n38", "n1000-0.25", "n1000-1", "n1000-100", "chunks", "offset", "exact",
-            "subnormal",
+            "n2", "n38", "n1000-0.25", "n1000-1", "n1000-100", "chunks", "tables", "offset",
+            "exact", "subnormal",
         ],
     )
     def test_grouped_tables_keep_the_per_mode_bits(self, n_sites, lam, g_over_b, grid):
@@ -380,11 +381,15 @@ class TestBlockFactorizedPath:
         block = decoherence._BLOCK
         assert out.shape == (rows, block) and f.shape == (plan.chunk_rows, block)
 
-    def test_block_scratch_memory_is_bounded(self):
+    @pytest.mark.parametrize(
+        "n_sites, count", [(1000, 32769), (100, (1 << 21) + 1)], ids=["n1000", "long-grid"]
+    )
+    def test_block_scratch_memory_is_bounded(self, n_sites, count):
         # the kernel's own allocations beyond the caller's workspace: its
-        # per-group tables, never per-mode tables of every mode at once
-        table = build_mode_table(params_for(n_sites=1000, lam=1.0, g_over_b=0.08125), n_max=1)
-        plan = uniform_plan(0.0, UNIFORM_DT, 32769)
+        # per-group tables, never per-mode tables of every mode at once, and
+        # never the phases of every chunk of a long grid at once
+        table = build_mode_table(params_for(n_sites=n_sites, lam=1.0, g_over_b=0.08125), n_max=1)
+        plan = uniform_plan(0.0, UNIFORM_DT, count)
         workspace = plan.workspace()
         tracemalloc.start()
         try:

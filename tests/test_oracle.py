@@ -20,7 +20,7 @@ from isingspec import (
     spectrum_analytic,
     build_mode_table,
 )
-from isingspec.oracle import _eigh
+from isingspec.oracle import _branch_overlaps, _eigh
 
 
 def params_for(n_sites, lam=1.0, g_over_b=0.1, gamma_over_b=0.02):
@@ -126,6 +126,18 @@ class TestOracleDecoherence:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             oracle_decoherence(14, params_for(8), 1, 0.0)
+
+    def test_time_blocks_match_the_per_time_product(self):
+        # 1100 times at N = 8 run in blocks of 512; the sums run in another
+        # order than one vector-matrix-vector product per time, so they may
+        # differ in the last digits of terms of modulus <= 1
+        p = params_for(8, lam=1.0, g_over_b=0.1)
+        t = np.linspace(0.0, 40.0, 1100)
+        e_n, e_p, mixer = _branch_overlaps(8, p, 1)
+        loop = [np.exp(1j * e_n * tt) @ mixer @ np.exp(-1j * e_p * tt) for tt in t]
+        np.testing.assert_allclose(oracle_decoherence(8, p, 1, t), loop, rtol=0, atol=1e-13)
+        scalar = oracle_decoherence(8, p, 1, t[700])
+        assert np.ndim(scalar) == 0 and abs(scalar - loop[700]) <= 1e-13
 
 
 class TestOracleSpectrum:

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -28,7 +30,9 @@ from isingspec import (
     mean_photon_number,
     spectrum_analytic,
     spectrum_fft,
+    sweep,
     threshold_crossing_time,
+    transform,
     weighted_echo,
 )
 from isingspec import spectrum
@@ -170,6 +174,107 @@ class TestCorrelationSeries:
         table = build_mode_table(p, n_max=1)
         with pytest.raises(ConfigError, match="branch 2"):
             weighted_echo(table, fock_superposition([0, 1, 1]), np.zeros(4))
+
+
+# the explicit grid of the sweep tests: Nyquist 32.2 clears the band
+# estimate at lambda 0.5 to 5, not at lambda 10 (42.5)
+SWEEP_GRID = TimeGrid(t_max=200.0, n_samples=4096)
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "lams, state, branch_threads",
+        [((0.5, 1.0, 2.0), fock_superposition([1, 1]), 1), ((2.0,), coherent_state(1.0), 2)],
+        ids=["fock", "coherent"],
+    )
+    def test_threads_do_not_change_the_results(self, lams, state, branch_threads, monkeypatch):
+        # three Fock lambdas split two threads among lambdas; one coherent
+        # lambda hands both to its populated branches
+        real = spectrum.correlation_series
+        seen = []
+
+        def recorded(params, table, state, t_max, n_samples, threads=0):
+            seen.append(threads)
+            return real(params, table, state, t_max, n_samples, threads)
+
+        def finish(params, grid, series):
+            return params, grid, series.values.tobytes(), transform(series)[1]
+
+        monkeypatch.setattr(spectrum, "correlation_series", recorded)
+        chain = params_for(n_sites=8)
+        results = {
+            threads: sweep(chain, state, lams, finish, SWEEP_GRID, threads)
+            for threads in (1, 2, 0)
+        }
+        assert [params.lam for params, *_ in results[1]] == list(lams)
+        assert all(grid is SWEEP_GRID for _, grid, *_ in results[1])
+        assert results[2] == results[1] and results[0] == results[1]
+        assert seen[: 2 * len(lams)] == [1] * len(lams) + [branch_threads] * len(lams)
+
+    def test_grid_error_at_the_last_lambda_calls_no_finish(self):
+        finished = []
+        with pytest.raises(ConfigError, match="lambda=10 the Nyquist frequency"):
+            sweep(
+                params_for(n_sites=8),
+                fock_superposition([1, 1]),
+                [0.5, 2.0, 10.0],
+                lambda params, grid, series: finished.append(params.lam),
+                SWEEP_GRID,
+            )
+        assert finished == []
+
+    def test_out_of_memory_names_the_lambda_and_its_samples(self, monkeypatch):
+        real = spectrum.correlation_series
+        finished = []
+
+        def exhausted_at_one(params, table, state, t_max, n_samples, threads=0):
+            if params.lam == 1.0:
+                raise MemoryError
+            return real(params, table, state, t_max, n_samples, threads)
+
+        monkeypatch.setattr(spectrum, "correlation_series", exhausted_at_one)
+        with pytest.raises(CapacityError) as caught:
+            sweep(
+                params_for(n_sites=8),
+                fock_superposition([1, 1]),
+                [0.5, 1.0, 2.0],
+                lambda params, grid, series: finished.append(params.lam),
+                SWEEP_GRID,
+                threads=1,
+            )
+        assert str(caught.value) == "out of memory at lambda=1 on a grid of 4096 samples"
+        assert caught.value.__cause__ is None and 1.0 not in finished
+
+    def test_lambda_transforms_run_one_at_a_time(self, monkeypatch):
+        real = spectrum.spectrum_fft
+        inside, most = [], []
+        lock = threading.Lock()
+
+        def held(series):
+            with lock:
+                inside.append(1)
+                most.append(len(inside))
+            time.sleep(0.05)  # long enough for another lambda to arrive
+            with lock:
+                inside.pop()
+            return real(series)
+
+        monkeypatch.setattr(spectrum, "spectrum_fft", held)
+        metrics = sweep(
+            params_for(n_sites=8),
+            fock_superposition([1, 1]),
+            [0.5, 1.0, 2.0, 5.0],
+            lambda params, grid, series: transform(series)[1],
+            SWEEP_GRID,
+            threads=2,
+        )
+        assert most == [1, 1, 1, 1] and len(metrics) == 4
+
+    def test_empty_sweep_runs_nothing(self):
+        def finish(params, grid, series):
+            raise AssertionError("finish called")
+
+        assert sweep(params_for(), fock_superposition([1, 1]), [], finish) == []
 
 
 # probe states for the property tests: Fock superpositions of up to four
