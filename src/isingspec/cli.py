@@ -184,15 +184,16 @@ def parse_probe(cfg: dict) -> ProbeState:
 
 
 def parse_sweep(cfg: dict, chain: ChainParams) -> list[float]:
+    """config.sweep, else [chain.lam]; -0.0 reads as 0.0, so its tag is not m0."""
     if "sweep" not in cfg:
-        return [chain.lam]
+        return [chain.lam + 0.0]
     values = _list_of(_number)(cfg["sweep"], "config.sweep")
     for i, v in enumerate(values):
         if v < 0.0:
             raise ConfigError(f"config.sweep[{i}]: lambda must be >= 0, got {v}")
     if len(set(values)) != len(values):
         raise ConfigError("config.sweep: duplicate lambda values")
-    return values
+    return [v + 0.0 for v in values]
 
 
 def parse_time_grid(cfg: dict) -> TimeGrid | None:

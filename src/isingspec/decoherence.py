@@ -17,6 +17,7 @@ exact-diagonalization echo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,6 +35,10 @@ _GROUP = 8
 _BLOCK = 128
 # block-product row and column indices split as _FINE coarse + fine, fine < _FINE
 _FINE = 16
+# part 0 of _block_layout opens with the 8 coarse and 16 fine column times,
+# then the 16 fine row times
+_COLUMNS = (slice(0, _BLOCK // _FINE), slice(_BLOCK // _FINE, _BLOCK // _FINE + _FINE))
+_FINE_ROWS = slice(_COLUMNS[1].stop, _COLUMNS[1].stop + _FINE)
 # Veltkamp's splitter 2^27 + 1 cuts a double into two 26-bit halves
 _SPLITTER = 134217729.0
 
@@ -106,28 +111,15 @@ def _branch_pair(table: ModeTable, n: int):
 
 @dataclass(frozen=True)
 class GridPlan:
-    """The block split of the nominal times start + j step, j = 0 .. size - 1.
+    """The nominal times start + j step, j = 0 .. size - 1, of a uniform grid.
 
     Pass it to decoherence_factor in place of t: it takes the block product
-    at these times, for every branch.  Sample j = a B + b sits at row a and
-    column b of B = 128 columns, and each index splits as 16 coarse + fine.
-    exact holds every time the phase tables need as (float, Veltkamp split,
-    exact miss), see _exact_times; the slices pick them out of it: columns
-    the 8 coarse column times 16 c step and the 16 fine ones f step,
-    fine_rows the fine row times f B step, shared by all chunks, and chunks
-    one (first row, rows, coarse row times start + (first + 16 c) B step)
-    per chunk of at most chunk_rows rows.  It holds no array of the grid's
-    size.
+    at these times, for every branch, on the layout _block_layout derives.
     """
 
     start: float
     step: float
     size: int
-    exact: tuple
-    columns: tuple
-    fine_rows: slice
-    chunks: tuple
-    chunk_rows: int
 
     def times(self) -> np.ndarray:
         """The float times start + j step as a flat array."""
@@ -142,35 +134,13 @@ class GridPlan:
         this workspace.  f holds a mode's factor over a chunk.
         """
         rows = -(-self.size // _BLOCK)
-        buffer = np.empty((rows + self.chunk_rows, _BLOCK), dtype=complex)
+        buffer = np.empty((rows + _chunk_rows(rows), _BLOCK), dtype=complex)
         return buffer[:rows], buffer[rows:]
 
 
-def uniform_plan(start: float, step: float, count: int) -> GridPlan:
-    """The GridPlan of the nominal times start + j step, j = 0 .. count - 1.
-
-    Every count >= 0 gives one, and decoherence_factor takes the block
-    product on it: the times split into rows of 128 samples, in chunks of
-    about 2^15 samples (a short tail joins the last chunk), with every 16th
-    row and column time and the 16 fine offsets within each held exactly
-    (_exact_times).
-    """
-    rows = -(-count // _BLOCK)
-    chunk_rows = max(1, -(-rows // max(1, rows // (_CHUNK // _BLOCK))))
-    fine = np.arange(_FINE, dtype=float)
-    parts = [np.arange(0, _BLOCK, _FINE, dtype=float), fine, fine * _BLOCK]
-    parts += [np.arange(a, min(a + chunk_rows, rows), _FINE) * float(_BLOCK)
-              for a in range(0, rows, chunk_rows)]
-    bounds = np.cumsum([0] + [part.size for part in parts])
-    slices = [slice(*bounds[i : i + 2]) for i in range(len(parts))]
-    origin = np.zeros(bounds[-1])
-    origin[bounds[3] :] = start  # row times start from start, column times from 0
-    exact = _exact_times(origin, np.concatenate(parts), step)
-    chunks = tuple(
-        (a, min(chunk_rows, rows - a), coarse)
-        for a, coarse in zip(range(0, rows, chunk_rows), slices[3:])
-    )
-    return GridPlan(start, step, count, exact, tuple(slices[:2]), slices[2], chunks, chunk_rows)
+def _chunk_rows(rows: int) -> int:
+    """Rows per block-product chunk: about 2^15 samples, a short tail joins the last."""
+    return max(1, -(-rows // max(1, rows // (_CHUNK // _BLOCK))))
 
 
 def _exact_times(start, multiples: np.ndarray, step: float):
@@ -192,10 +162,10 @@ def decoherence_factor(table: ModeTable, n: int, t, workspace=None):
 
     The per-momentum factors are multiplied in ascending-k order regardless
     of how callers parallelize over time samples, so outputs are bitwise
-    reproducible.  A GridPlan (see uniform_plan) takes a block-factorized
-    product at its nominal times start + j step; any other t is times of
-    any shape, and takes mode_factor itself at them, broadcast over modes
-    and time chunks.  workspace, from plan.workspace(), holds the block
+    reproducible.  A GridPlan takes a block-factorized product at its
+    nominal times start + j step; any other t is times of any shape, and
+    takes mode_factor itself at them, broadcast over modes and time
+    chunks.  workspace, from plan.workspace(), holds the block
     product's buffers: the result is written into it and returned as a
     view.  It does not change a bit of the result.
     """
@@ -259,12 +229,12 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     tone 1, then those of tone 2 with (cq, dq) (4 x 2B).
 
     R and C are outer products: with a = 16 c + f (and b likewise), R[a] =
-    exp(i w x_c) exp(i w x_f) at the plan's exact coarse and fine times x_c
-    and x_f, each factor to double precision (_phase_table), and their
-    product adds one complex rounding.  So each tone takes 40 + rows / 16
-    complex exponentials, and each table entry one complex multiply.  The
+    exp(i w x_c) exp(i w x_f) at the exact coarse and fine times x_c and x_f
+    of _block_layout, each factor to double precision (_phase_table), and
+    their product adds one complex rounding.  So each tone takes 40 + rows /
+    16 complex exponentials, and each table entry one complex multiply.  The
     factors are built for _GROUP modes at a time, a few numpy calls per
-    group (V once per group, the phases once per _table_parts part, U per
+    group (V once per group, the phases once per _block_layout part, U per
     chunk).  The per-mode loop then makes only chunk-sized calls, which
     release the GIL, so branch and lambda threads do not queue on each
     other's bookkeeping: the product and acc *= F.  Every element sees the
@@ -283,7 +253,7 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     # weighted.  Every call runs along the columns: one whose innermost axis
     # is the 2-long (re, im) slot cost a sixth of the whole kernel
     v_groups = np.empty((_GROUP, 2, 2, _BLOCK // _FINE, _FINE, 2))
-    parts = _table_parts(plan)
+    parts = _block_layout(plan)
     for first in range(0, tone_pairs.shape[0], _GROUP):
         w = tone_pairs[first : first + _GROUP]
         w_split = _veltkamp_split(w)
@@ -291,7 +261,7 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
         modes = w.shape[0]
         v = v_groups[:modes]
         head = _phase_table(w, w_split, *parts[0][0])  # with the column and fine row times
-        coarse, fine = (head[..., part] for part in plan.columns)
+        coarse, fine = (head[..., part] for part in _COLUMNS)
         np.multiply(coarse[..., None], fine[..., None, :], out=v[:, :, 0].view(complex)[..., 0])
         re, im = v[:, :, 0, ..., 0], v[:, :, 0, ..., 1]
         np.multiply(im, -cs, out=v[:, :, 1, ..., 0])
@@ -299,7 +269,7 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
         re *= cs
         im *= ds
         v = v.reshape(modes, 4, 2 * _BLOCK)
-        fine_rows = head[..., None, plan.fine_rows]
+        fine_rows = head[..., None, _FINE_ROWS]
         for i, (exact, chunks) in enumerate(parts):
             phases = _phase_table(w, w_split, *exact) if i else head
             for start, r, coarse in chunks:
@@ -313,24 +283,36 @@ def _block_product(weights, tones, plan: GridPlan, workspace) -> np.ndarray:
     return out.reshape(-1)[: plan.size]
 
 
-def _table_parts(plan: GridPlan) -> list:
+def _block_layout(plan: GridPlan) -> list:
     """(exact times, chunks) per phase table of _block_product.
 
-    The first part holds the column and fine row times; each part holds the
-    coarse row times of at most 16 chunks (about 2^19 samples), so a group's
-    phase tables stay the same size on longer grids.  A part's chunks index
-    its own times.
+    Sample j = a B + b sits at row a and column b of B = 128 columns, and
+    each index splits as 16 coarse + fine.  The rows form chunks of at most
+    _chunk_rows rows, each (first row, rows, slice of its part's times that
+    holds the coarse row times start + (first + 16 c) B step).  A part holds
+    those of at most 16 chunks (about 2^19 samples), so a group's phase
+    tables stay the same size on longer grids.  Part 0 opens with the column
+    times 16 c step and f step (_COLUMNS) and the fine row times f B step
+    (_FINE_ROWS), which all chunks share.  Every time is held exactly
+    (_exact_times); no array has the grid's size.
     """
+    rows = -(-plan.size // _BLOCK)
+    height = _chunk_rows(rows)
+    chunks = [(a, min(height, rows - a)) for a in range(0, rows, height)]
     per_part = _CHUNK // (_BLOCK * _FINE)
-    times, (times_hi, times_lo), miss = plan.exact
-    lo, parts = 0, []
-    for i in range(0, max(1, len(plan.chunks)), per_part):
-        chunks = plan.chunks[i : i + per_part]
-        hi = chunks[-1][2].stop if chunks else plan.fine_rows.stop
-        part = slice(lo, hi)
-        exact = times[part], (times_hi[part], times_lo[part]), miss[part]
-        parts.append((exact, [(a, r, slice(c.start - lo, c.stop - lo)) for a, r, c in chunks]))
-        lo = hi
+    fine = np.arange(_FINE, dtype=float)
+    lead = [np.arange(0, _BLOCK, _FINE, dtype=float), fine, fine * _BLOCK]
+    parts = []
+    for i in range(0, max(1, len(chunks)), per_part):
+        part = chunks[i : i + per_part]
+        multiples = lead + [np.arange(a, a + r, _FINE) * float(_BLOCK) for a, r in part]
+        bounds = list(accumulate((m.size for m in multiples), initial=0))
+        origin = np.full(bounds[-1], plan.start, dtype=float)
+        origin[: bounds[len(lead)]] = 0.0  # column and fine row times start from 0
+        exact = _exact_times(origin, np.concatenate(multiples), plan.step)
+        chunks_at = enumerate(part, len(lead))  # chunk j's coarse row times: multiples[j]
+        parts.append((exact, [(a, r, slice(*bounds[j : j + 2])) for j, (a, r) in chunks_at]))
+        lead = []
     return parts
 
 

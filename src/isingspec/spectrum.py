@@ -25,9 +25,8 @@ from .decoherence import (
     decoherence_factor,
     enumerate_lines,
     mode_coefficients,
-    uniform_plan,
 )
-from .errors import CapacityError, ConfigError, DegenerateInputError, NumericsError
+from .errors import CapacityError, ConfigError, DegenerateInputError, NumericsError, ParameterError
 from .params import ChainParams
 from .probe import ProbeState, mean_photon_number
 
@@ -125,7 +124,9 @@ def _populated_branches(table: ModeTable, state: ProbeState) -> dict[int, float]
 
 
 def _threads(count: int) -> int:
-    """count, or for 0 the CPUs this process may run on."""
+    """count, or for 0 the CPUs this process may run on; ParameterError below 0."""
+    if count < 0:
+        raise ParameterError(f"threads must be >= 0 (0: all usable CPUs), got {count}")
     if count > 0:
         return count
     if hasattr(os, "sched_getaffinity"):
@@ -139,20 +140,21 @@ def weighted_echo(table: ModeTable, state: ProbeState, t, threads: int = 0):
     This is S(t) without the exp(-Gamma |t|) envelope; t is times of any
     shape or a GridPlan (see decoherence_factor), shared by all branches.
     On a GridPlan, up to threads branches (0: the CPUs this process may
-    use) are computed at a time: the calling thread takes the first of each
-    round and one helper thread each of the rest, into buffers the calling
-    thread allocates, under the caller's numpy error state.  The sum is
-    taken in ascending n all the same, so the result has the same bits at
-    any threads.  A single branch, threads=1, and times run on the calling
-    thread alone; a call with no populated branch or no sample gets zeros
-    without a workspace.
+    use; ParameterError below 0) are computed at a time: the calling thread
+    takes the first of each round and one helper thread each of the rest,
+    into buffers the calling thread allocates, under the caller's numpy
+    error state.  The sum is taken in ascending n all the same, so the
+    result has the same bits at any threads.  A single branch, threads=1,
+    and times run on the calling thread alone; a call with no populated
+    branch or no sample gets zeros without a workspace or a block layout.
     """
+    budget = _threads(threads)
     branches = list(_populated_branches(table, state).items())
     block = isinstance(t, GridPlan)
     acc = np.zeros(t.size if block else np.shape(t), dtype=complex)
     if not branches or not acc.size:
         return acc
-    workers = min(_threads(threads), len(branches)) if block else 1
+    workers = min(budget, len(branches)) if block else 1
     workspaces = [t.workspace() for _ in range(workers)] if block else [None]
     # a new thread starts with numpy's default error state, on numpy 1 and 2
     errstate = dict(np.geterr(), call=np.geterrcall())
@@ -283,7 +285,7 @@ def correlation_series(
     # phases omega * t past the float range overflow to inf and then NaN;
     # the finiteness check below reports that as one NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = uniform_plan(0.0, dt, n_samples // 2 + 1)  # j dt, 0 .. t_max inclusive
+        plan = GridPlan(0.0, dt, n_samples // 2 + 1)  # j dt, 0 .. t_max inclusive
         positive = weighted_echo(table, state, plan, threads)
         positive *= np.exp(-params.gamma_over_b * plan.times())
     if not np.isfinite(positive).all():
@@ -349,6 +351,7 @@ def sweep(chain: ChainParams, state: ProbeState, lams, finish, grid=None, thread
     threads, and finish on its worker.  A MemoryError there becomes a
     CapacityError naming the lambda and its sample count.
     """
+    budget = _threads(threads)
     runs = []
     for lam in lams:
         params = replace(chain, lam=lam)
@@ -356,7 +359,6 @@ def sweep(chain: ChainParams, state: ProbeState, lams, finish, grid=None, thread
         runs.append((params, table, auto_time_grid(params, table, state, grid)))
     if not runs:
         return []
-    budget = _threads(threads)
     branch_threads = max(1, budget // len(runs))
 
     def job(run):
@@ -615,7 +617,7 @@ def threshold_crossing_time(
     split = min(20.0, horizon)
     ts, r = [], []
     for a, b, step in ((0.0, split, 0.005), (split, horizon, 0.1)):
-        plan = uniform_plan(a, step, max(0, math.ceil((b - a) / step)))  # np.arange's count
+        plan = GridPlan(a, step, max(0, math.ceil((b - a) / step)))  # np.arange's count
         ts.append(plan.times())
         r.append(ratio(plan, ts[-1]))
     ts, r = np.concatenate(ts), np.concatenate(r)

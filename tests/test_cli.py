@@ -215,11 +215,11 @@ class TestCorrelationCommand:
         echo = (
             "import hashlib, sys, numpy as np\n"
             "from isingspec import ChainParams, build_mode_table, coherent_state, weighted_echo\n"
-            "from isingspec.decoherence import uniform_plan\n"
+            "from isingspec.decoherence import GridPlan\n"
             "p = ChainParams(n_sites=16, lam=0.5, g_over_b=0.1, gamma_over_b=0.0)\n"
             "state = coherent_state(1.0)\n"
             "table = build_mode_table(p, n_max=state.n_max)\n"
-            "s = weighted_echo(table, state, uniform_plan(0.0, 0.1, 65024), int(sys.argv[1]))\n"
+            "s = weighted_echo(table, state, GridPlan(0.0, 0.1, 65024), int(sys.argv[1]))\n"
             "print(hashlib.sha256(s.tobytes()).hexdigest())\n"
         )
         env = dict(os.environ)
@@ -379,6 +379,26 @@ class TestSweepCommand:
         args = [command, "--config", str(cfg_path), "--threads", "2"]
         assert runner.invoke(main, args).exit_code == 0
         assert most == [1, 1, 1, 1]
+
+    def test_negative_zero_lambda_is_lambda_zero(self, runner, tmp_path):
+        # -0.0 gets the tag 0, not m0, and is recorded as 0.0, in a sweep
+        # and in the fallback to chain.lambda
+        chain = {"n_sites": 8, "lambda": -0.0, "g_over_b": 0.1, "gamma_over_b": 0.02}
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, sweep=[-0.0, 2.0])
+        for command in ("sweep", "correlation"):
+            assert runner.invoke(main, [command, "--config", str(cfg_path)]).exit_code == 0
+        write_config(cfg_path, chain=chain, output=str(tmp_path / "fallback"))
+        assert runner.invoke(main, ["spectrum", "--config", str(cfg_path)]).exit_code == 0
+        names = {p.name for p in (tmp_path / "out").iterdir()}
+        assert names == {"sweep_metrics.json", "correlation_lambda_0.csv", "correlation_lambda_2.csv"}
+        names = {p.name for p in (tmp_path / "fallback").iterdir()}
+        assert names == {"spectrum_lambda_0.csv", "metrics_lambda_0.json"}
+        records = [
+            json.loads((tmp_path / "out" / "sweep_metrics.json").read_text())["results"][0],
+            json.loads((tmp_path / "fallback" / "metrics_lambda_0.json").read_text())["metrics"],
+        ]
+        assert [math.copysign(1.0, record["lambda"]) for record in records] == [1.0, 1.0]
 
     def test_missing_sweep_is_config_error(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"

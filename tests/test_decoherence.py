@@ -20,13 +20,15 @@ from isingspec import (
 )
 from isingspec import decoherence
 from isingspec.decoherence import (
+    _COLUMNS,
+    _FINE_ROWS,
     GridPlan,
+    _block_layout,
     _channel_sums,
     _exact_times,
     _phase_table,
     _product_error,
     _veltkamp_split,
-    uniform_plan,
 )
 
 
@@ -56,9 +58,10 @@ def per_mode_block_reference(weights, tones, plan):
     weighted column rows of each tone) are built alone.  Each row and column
     table is the outer product, 16 fine entries innermost, of a coarse and a
     fine part of exp(i w (x + e)) = exp(i fl(w x)) (1 + i (w x - fl(w x) + w e))
-    at the plan's exact times x and their misses e, and one product gives
+    at the layout's exact times x and their misses e, and one product gives
     the factor F: the grouped kernel must give these bits exactly.
     """
+    parts = _block_layout(plan)
     out, f = plan.workspace()
     out[...] = 1.0
 
@@ -70,24 +73,26 @@ def per_mode_block_reference(weights, tones, plan):
         result.real, result.imag = e.real - e.imag * miss, e.imag + e.real * miss
         return result
 
-    def outer(phases, coarse, fine):
-        return (phases[coarse, None] * phases[None, fine]).reshape(-1)
+    def outer(coarse, fine):
+        return (coarse[:, None] * fine[None, :]).reshape(-1)
 
     for j in range(tones[0].size):
         pairs = [(float(w[j]), c[j], s[j]) for w, c, s in zip(tones, weights[::2], weights[1::2])]
-        phases = [table(w, *plan.exact) for w, _, _ in pairs]
+        head = [table(w, *parts[0][0]) for w, _, _ in pairs]
         v = np.empty((4, 2 * decoherence._BLOCK))
         for i, (_, c, s) in enumerate(pairs):
-            column = outer(phases[i], *plan.columns)
+            column = outer(*(head[i][part] for part in _COLUMNS))
             v[2 * i, 0::2], v[2 * i, 1::2] = c * column.real, s * column.imag
             v[2 * i + 1, 0::2], v[2 * i + 1, 1::2] = -c * column.imag, s * column.real
-        for start, r, coarse in plan.chunks:
-            u = np.empty((r, 4))
-            for i in range(2):
-                row = outer(phases[i], coarse, plan.fine_rows)[:r]
-                u[:, 2 * i], u[:, 2 * i + 1] = row.real, row.imag
-            np.matmul(u, v, out=f[:r].view(float))
-            out[start : start + r] *= f[:r]
+        for exact, chunks in parts:
+            phases = [table(w, *exact) for w, _, _ in pairs]
+            for start, r, coarse in chunks:
+                u = np.empty((r, 4))
+                for i in range(2):
+                    row = outer(phases[i][coarse], head[i][_FINE_ROWS])[:r]
+                    u[:, 2 * i], u[:, 2 * i + 1] = row.real, row.imag
+                np.matmul(u, v, out=f[:r].view(float))
+                out[start : start + r] *= f[:r]
     return out.reshape(-1)[: plan.size]
 
 
@@ -262,7 +267,7 @@ class TestBlockFactorizedPath:
         grids = [(0.0, UNIFORM_DT, n) for n in (129, 513, 2047, 2048, 2049, 32769)]
         grids += [(0.1, (300.0 - 0.1) / 4095, 4096), (20.0, 0.1, 6885)]
         for start, step, count in grids:
-            plan = uniform_plan(start, step, count)
+            plan = GridPlan(start, step, count)
             block = decoherence_factor(table, 1, plan)
             # every 13th sample (coprime to the block size) and the last
             idx = np.r_[np.arange(3, count, 13), count - 1]
@@ -308,8 +313,7 @@ class TestBlockFactorizedPath:
         # no size floor: a plan of no samples, or of less than one row of
         # 128, still runs the block product and agrees with mode_factor
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=1)
-        plan = uniform_plan(start, UNIFORM_DT, count)
-        assert isinstance(plan, GridPlan) and plan.size == count
+        plan = GridPlan(start, UNIFORM_DT, count)
         block = decoherence_factor(table, 1, plan, workspace=plan.workspace())
         times = plan.times()
         assert block.shape == times.shape == (count,)
@@ -318,8 +322,8 @@ class TestBlockFactorizedPath:
 
     def test_plan_and_workspace_keep_the_bits(self):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=2)
-        plan = uniform_plan(0.0, UNIFORM_DT, 32769)
-        assert plan.size == np.size(plan) == 32769 and plan.chunks
+        plan = GridPlan(0.0, UNIFORM_DT, 32769)
+        assert plan.size == np.size(plan) == 32769
         workspace = plan.workspace()
         for n in (1, 2):  # the second call reuses the first's buffers
             np.testing.assert_array_equal(
@@ -352,8 +356,7 @@ class TestBlockFactorizedPath:
     )
     def test_grouped_tables_keep_the_per_mode_bits(self, n_sites, lam, g_over_b, grid):
         table = build_mode_table(params_for(n_sites=n_sites, lam=lam, g_over_b=g_over_b), n_max=1)
-        plan = uniform_plan(*grid)
-        assert plan.chunks
+        plan = GridPlan(*grid)
         c = mode_coefficients(table.alpha[1], table.alpha[0])
         weights = _channel_sums(c)
         tones = (table.epsilon[1] + table.epsilon[0], table.epsilon[1] - table.epsilon[0])
@@ -361,25 +364,25 @@ class TestBlockFactorizedPath:
         reference = per_mode_block_reference(weights, tones, plan)
         np.testing.assert_array_equal(grouped.view(np.uint64), reference.view(np.uint64))
 
-    def test_uniform_plan_holds_no_grid_sized_array(self):
-        count = (1 << 18) + 1
-        plan = uniform_plan(0.0, UNIFORM_DT, count)
-        rows = -(-count // decoherence._BLOCK)
-
-        def arrays(item):
-            if isinstance(item, np.ndarray):
-                yield item
-            elif isinstance(item, tuple):
-                for part in item:
-                    yield from arrays(part)
-
-        held = list(arrays((plan.exact, plan.chunks)))
-        assert held
-        assert max(a.size for a in held) <= max(rows, decoherence._BLOCK)
+    @pytest.mark.parametrize("count", [(1 << 18) + 1, (1 << 21) + 1])
+    def test_block_layout_holds_no_grid_sized_array(self, count):
+        # the chunks tile the rows in order, each fits the workspace's f, a
+        # part holds at most 16 of them, and no time array has the grid's size
+        plan = GridPlan(0.0, UNIFORM_DT, count)
+        block = decoherence._BLOCK
+        rows = -(-count // block)
         out, f = plan.workspace()
         assert out.dtype == f.dtype == complex
-        block = decoherence._BLOCK
-        assert out.shape == (rows, block) and f.shape == (plan.chunk_rows, block)
+        assert out.shape == (rows, block) and f.shape == (decoherence._chunk_rows(rows), block)
+        parts = _block_layout(plan)
+        chunks = [chunk for _, part in parts for chunk in part]
+        assert [a for a, _, _ in chunks] == list(np.cumsum([0] + [r for _, r, _ in chunks[:-1]]))
+        assert sum(r for _, r, _ in chunks) == rows
+        assert all(r <= f.shape[0] for _, r, _ in chunks)
+        assert all(len(part) <= 16 for _, part in parts)
+        for (times, (hi, lo), miss), part in parts:
+            assert all(coarse.stop - coarse.start == -(-r // 16) for _, r, coarse in part)
+            assert times.size == hi.size == lo.size == miss.size <= max(rows, block)
 
     @pytest.mark.parametrize(
         "n_sites, count", [(1000, 32769), (100, (1 << 21) + 1)], ids=["n1000", "long-grid"]
@@ -389,7 +392,7 @@ class TestBlockFactorizedPath:
         # per-group tables, never per-mode tables of every mode at once, and
         # never the phases of every chunk of a long grid at once
         table = build_mode_table(params_for(n_sites=n_sites, lam=1.0, g_over_b=0.08125), n_max=1)
-        plan = uniform_plan(0.0, UNIFORM_DT, count)
+        plan = GridPlan(0.0, UNIFORM_DT, count)
         workspace = plan.workspace()
         tracemalloc.start()
         try:
@@ -422,18 +425,21 @@ class TestBlockFactorizedPath:
         # product adds one complex rounding, so every entry stays within
         # 4 ulp of 1 of _phase_table at the combined exact times
         start, step, _ = grid
-        plan = uniform_plan(*grid)
+        parts = _block_layout(GridPlan(*grid))
         block = decoherence._BLOCK
         w = np.random.default_rng(37).uniform(0.0, 230.0, (8, 2, 1))
-        phases = _phase_table(w, _veltkamp_split(w), *plan.exact)
+        head = _phase_table(w, _veltkamp_split(w), *parts[0][0])
 
         def factored(coarse, fine):
-            return (phases[..., coarse, None] * phases[..., None, fine]).reshape(8, 2, -1)
+            return (coarse[..., :, None] * fine[..., None, :]).reshape(8, 2, -1)
 
-        tables = [(factored(*plan.columns), _exact_times(0.0, np.arange(block, dtype=float), step))]
-        for first, r, coarse in plan.chunks:
-            rows = _exact_times(start, np.arange(first, first + r) * float(block), step)
-            tables.append((factored(coarse, plan.fine_rows)[..., :r], rows))
+        columns = factored(*(head[..., part] for part in _COLUMNS))
+        tables = [(columns, _exact_times(0.0, np.arange(block, dtype=float), step))]
+        for exact, chunks in parts:
+            phases = _phase_table(w, _veltkamp_split(w), *exact)
+            for first, r, coarse in chunks:
+                rows = _exact_times(start, np.arange(first, first + r) * float(block), step)
+                tables.append((factored(phases[..., coarse], head[..., _FINE_ROWS])[..., :r], rows))
         for table, exact in tables:
             direct = _phase_table(w, _veltkamp_split(w), *exact)
             error = np.max(np.abs(table - direct))

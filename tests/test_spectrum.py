@@ -14,6 +14,7 @@ from isingspec import (
     ConfigError,
     DegenerateInputError,
     NumericsError,
+    ParameterError,
     Spectrum,
     TimeGrid,
     auto_time_grid,
@@ -36,7 +37,7 @@ from isingspec import (
     weighted_echo,
 )
 from isingspec import spectrum
-from isingspec.decoherence import uniform_plan
+from isingspec.decoherence import GridPlan
 from isingspec.spectrum import _bounded_minimum, _l2_norm, _populated_branches
 
 
@@ -63,18 +64,18 @@ class TestCorrelationSeries:
         np.testing.assert_allclose(series.values, 0.0, atol=1e-15)
 
     def test_vacuum_probe_allocates_no_block_buffers(self, monkeypatch):
-        # no block workspace for a probe with no populated branch, nor for a
-        # plan with no sample
+        # no block workspace and no block layout for a probe with no
+        # populated branch, nor for a plan with no sample
         def refused(*args):
-            raise AssertionError("workspace built for a call with nothing to compute")
+            raise AssertionError("block buffers built for a call with nothing to compute")
 
         p = params_for()
         table = build_mode_table(p, n_max=1)
-        assert uniform_plan(0.0, 100.0 / 4096, 2049).chunks  # the half-grid's block path
         monkeypatch.setattr("isingspec.decoherence.GridPlan.workspace", refused)
+        monkeypatch.setattr("isingspec.decoherence._exact_times", refused)
         series = correlation_series(p, table, fock_superposition([1]), 50.0, 4096, threads=2)
         np.testing.assert_array_equal(series.values, 0.0)
-        echo = weighted_echo(table, fock_superposition([1, 1]), uniform_plan(20.0, 0.1, 0))
+        echo = weighted_echo(table, fock_superposition([1, 1]), GridPlan(20.0, 0.1, 0))
         assert echo.dtype == complex and echo.shape == (0,)
 
     def test_time_zero_equals_mean_photon_number(self):
@@ -138,9 +139,9 @@ class TestCorrelationSeries:
         weights = state.branch_weights()
         table = build_mode_table(p, n_max=state.n_max)
         grid = auto_time_grid(p, table, state)
-        plan = uniform_plan(0.0, 2.0 * grid.t_max / grid.n_samples, grid.n_samples // 2 + 1)
+        plan = GridPlan(0.0, 2.0 * grid.t_max / grid.n_samples, grid.n_samples // 2 + 1)
         branches = [n for n in range(1, len(weights)) if weights[n] > 0.0]
-        assert len(branches) > 5 and plan.chunks  # the block path
+        assert len(branches) > 5
         expected = np.zeros(plan.size, dtype=complex)
         for n in branches:
             expected += weights[n] * decoherence_factor(table, n, plan)
@@ -276,6 +277,15 @@ class TestSweep:
 
         assert sweep(params_for(), fock_superposition([1, 1]), [], finish) == []
 
+    def test_negative_threads_are_parameter_errors(self):
+        # not "all CPUs", which 0 asks for
+        state = fock_superposition([1, 1])
+        table = build_mode_table(params_for(), n_max=1)
+        with pytest.raises(ParameterError, match="got -2"):
+            weighted_echo(table, state, GridPlan(0.0, 0.1, 4097), threads=-2)
+        with pytest.raises(ParameterError, match="got -1"):
+            sweep(params_for(), state, [0.5], lambda *run: run, SWEEP_GRID, threads=-1)
+
 
 # probe states for the property tests: Fock superpositions of up to four
 # levels with a populated excited level, and coherent states, alpha <= 1.5
@@ -306,8 +316,7 @@ class TestUniformGridProperties:
         table = build_mode_table(p, n_max=max(state.n_max, 1))
         series = correlation_series(p, table, state, 200.0, 4096)
         mid = series.n_samples // 2
-        plan = uniform_plan(0.0, 2.0 * 200.0 / 4096, mid + 1)  # the grid correlation_series uses
-        assert plan.chunks
+        plan = GridPlan(0.0, 2.0 * 200.0 / 4096, mid + 1)  # the grid correlation_series uses
         for n in range(1, state.n_max + 1):
             echo = decoherence_factor(table, n, plan)
             assert abs(echo[0] - 1.0) <= 1e-12
