@@ -395,7 +395,7 @@ def cmd_correlation(cfg: dict, out_flag: str | None, threads: int):
         v = series.values
         # hypot, not np.abs: it rounds like the scalar abs(complex), np.abs may not
         columns = {
-            "t": series.times,
+            "t": series.grid.times(),
             "re_S": v.real,
             "im_S": v.imag,
             "abs_S": np.hypot(v.real, v.imag),

@@ -16,6 +16,8 @@ exact-diagonalization echo.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -115,11 +117,21 @@ class GridPlan:
 
     Pass it to decoherence_factor in place of t: it takes the block product
     at these times, for every branch, on the layout _block_layout derives.
+    ParameterError unless size is an int >= 0 and start and step are finite.
     """
 
     start: float
     step: float
     size: int
+
+    def __post_init__(self) -> None:
+        size = self.size
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
+            raise ParameterError(f"plan size must be an integer >= 0, got {size!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.step)):
+            raise ParameterError(
+                f"plan start and step must be finite, got {self.start!r} and {self.step!r}"
+            )
 
     def times(self) -> np.ndarray:
         """The float times start + j step as a flat array."""

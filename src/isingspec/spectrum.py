@@ -61,13 +61,20 @@ class TimeGrid:
         n = self.n_samples
         if not isinstance(n, numbers.Integral) or n < 2 or n & (n - 1):
             raise ConfigError(f"n_samples must be a power of two >= 2, got {n!r}")
-        # correlation_series's step 2 t_max / n; 1 / n stays a float for any int n
-        step = 2.0 * self.t_max * (1 / n)
-        if not 0.0 < step < math.inf:
+        if not 0.0 < self.step < math.inf:
             raise ConfigError(
-                f"t_max={self.t_max!r} gives the step 2*t_max/n_samples={step!r}; "
+                f"t_max={self.t_max!r} gives the step 2*t_max/n_samples={self.step!r}; "
                 "it must be finite and > 0"
             )
+
+    @property
+    def step(self) -> float:
+        """2 t_max / n_samples; 1 / n stays a float for any int n."""
+        return 2.0 * self.t_max * (1 / self.n_samples)
+
+    def times(self) -> np.ndarray:
+        """The sample times -t_max + j step, j = 0 .. n_samples - 1."""
+        return -self.t_max + np.arange(self.n_samples) * self.step
 
 
 @dataclass(frozen=True)
@@ -87,15 +94,10 @@ class BroadeningMetrics:
 
 @dataclass(frozen=True)
 class CorrelationSeries:
-    """S(t) on the symmetric uniform grid t_j in [-t_max, t_max)."""
+    """S(t) at the times grid.times() of its symmetric FFT grid."""
 
-    t_max: float
-    times: np.ndarray
+    grid: TimeGrid
     values: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def auto_time_grid(
                 f"config.time_grid: n_samples={grid.n_samples} is above the cap of "
                 f"2^{_MAX_SAMPLES_LOG2}"
             )
-        nyquist = math.pi * grid.n_samples / (2.0 * grid.t_max)
+        nyquist = math.pi / grid.step
         band = _band_estimate(table, state)
         if nyquist < band:
             # 2 ** rather than 1 <<: the exponent is inf where the count overflows
@@ -280,12 +282,11 @@ def correlation_series(
     process may use) bounds how many populated branches are computed at
     once; see weighted_echo.  The series has the same bits at any threads.
     """
-    TimeGrid(t_max=t_max, n_samples=n_samples)  # validates the grid
-    dt = 2.0 * t_max / n_samples
+    grid = TimeGrid(t_max=t_max, n_samples=n_samples)
     # phases omega * t past the float range overflow to inf and then NaN;
     # the finiteness check below reports that as one NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
-        plan = GridPlan(0.0, dt, n_samples // 2 + 1)  # j dt, 0 .. t_max inclusive
+        plan = GridPlan(0.0, grid.step, n_samples // 2 + 1)  # j step, 0 .. t_max inclusive
         positive = weighted_echo(table, state, plan, threads)
         positive *= np.exp(-params.gamma_over_b * plan.times())
     if not np.isfinite(positive).all():
@@ -295,10 +296,8 @@ def correlation_series(
     values[n_samples // 2 :] = positive[: n_samples // 2]
     values[1 : n_samples // 2] = np.conj(positive[1 : n_samples // 2][::-1])
     values[0] = np.conj(positive[n_samples // 2])  # t = -t_max
-    times = -t_max + np.arange(n_samples) * dt
-    times.setflags(write=False)
     values.setflags(write=False)
-    return CorrelationSeries(t_max=t_max, times=times, values=values)
+    return CorrelationSeries(grid=grid, values=values)
 
 
 def spectrum_fft(series: CorrelationSeries) -> Spectrum:
@@ -310,8 +309,7 @@ def spectrum_fft(series: CorrelationSeries) -> Spectrum:
     transform is then real to machine precision.  The residue is reported and
     must stay below 1e-6 of the peak.
     """
-    m = series.n_samples
-    dt = 2.0 * series.t_max / m
+    m, dt = series.grid.n_samples, series.grid.step
     signal = np.array(series.values)
     signal[0] = signal[0].real
     raw = np.fft.fft(signal)

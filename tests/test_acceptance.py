@@ -25,6 +25,7 @@ from click.testing import CliRunner
 
 import isingspec as iq
 from isingspec.cli import main
+from isingspec.decoherence import GridPlan
 
 G_OVER_B = 0.13 / 1.6
 GAMMA_OVER_B = 0.0039
@@ -159,7 +160,7 @@ class TestCriterion2:
             params = chain(1000, 1.0)
             table = iq.build_mode_table(params, n_max=max(state.n_max, 1))
             series = iq.correlation_series(params, table, state, 100.0, 1 << 10)
-            s0 = series.values[series.n_samples // 2].real
+            s0 = series.values[series.grid.n_samples // 2].real
             s0_dev = max(s0_dev, abs(s0 - iq.mean_photon_number(state)))
 
         ok = coeff_dev < 1e-12 and line_dev < 1e-10 and s0_dev < 1e-10
@@ -326,15 +327,17 @@ class TestCriterion6:
         )
         peaks_ok = worst_distance < GAMMA_EXACT
 
-        ts = np.linspace(0.0, 3.0 / GAMMA_EXACT, 2000)
+        # the block-product route of the sweep, on the times of linspace(0, T, n)
+        plan = GridPlan(0.0, 3.0 / GAMMA_EXACT / 1999, 2000)
+        decay = np.exp(-GAMMA_EXACT * plan.times())
         envelope_dev = 0.0
         for state in (FOCK, coherent):
             envelopes = {}
             for lam in (100.0, 500.0):
                 params = chain(1000, lam, gamma=GAMMA_EXACT)
                 table = iq.build_mode_table(params, n_max=max(state.n_max, 1))
-                acc = iq.weighted_echo(table, state, ts)
-                envelopes[lam] = np.abs(acc) * np.exp(-GAMMA_EXACT * ts)
+                acc = iq.weighted_echo(table, state, plan)
+                envelopes[lam] = np.abs(acc) * decay
             envelope_dev = max(
                 envelope_dev,
                 float(
@@ -382,8 +385,8 @@ class TestCriterion8:
     def test_far_from_critical_echo_survives(self):
         params = chain(1000, 100.0)
         table = iq.build_mode_table(params, n_max=1)
-        t = np.linspace(0.0, 100.0, 10001)
-        lowest = float(np.min(np.abs(iq.decoherence_factor(table, 1, t))))
+        plan = GridPlan(0.0, 100.0 / 10000, 10001)
+        lowest = float(np.min(np.abs(iq.decoherence_factor(table, 1, plan))))
         ok = lowest > 0.99
         report(8, "far-field echo survives", ok, f"min |D| = {lowest:.8f} (> 0.99)")
         assert lowest > 0.99
@@ -404,8 +407,9 @@ class TestCriterion9:
 
     def test_per_sample_cost_linear_in_chain_length(self):
         # the two sizes alternate, and each takes the fastest of its repeats:
-        # a host stall can slow a repeat, never speed one up
-        t = np.linspace(0.0, 100.0, 1 << 13)
+        # a host stall can slow a repeat, never speed one up; the plan takes
+        # the block product, the kernel of every sweep
+        t = GridPlan(0.0, 100.0 / ((1 << 13) - 1), 1 << 13)
         tables = {n: iq.build_mode_table(chain(n, 1.0), n_max=1) for n in (1000, 500)}
         for table in tables.values():
             iq.decoherence_factor(table, 1, t)  # warm up

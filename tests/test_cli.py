@@ -27,7 +27,7 @@ from isingspec.cli import (
     parse_chain,
     parse_probe,
 )
-from isingspec.spectrum import CorrelationSeries, _threads, auto_time_grid
+from isingspec.spectrum import CorrelationSeries, TimeGrid, _threads, auto_time_grid
 
 SRC = str(Path(isingspec.__file__).resolve().parent.parent)
 
@@ -105,10 +105,10 @@ class TestWriteCsv:
         rng = np.random.default_rng(7)
         values = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
         assert np.any(np.abs(values) != [abs(v) for v in values])
-        times = np.linspace(-200.0, 200.0, values.size, endpoint=False)
+        times = TimeGrid(200.0, values.size).times()  # the config's grid
 
         def crafted(params, table, state, t_max, n_samples, threads=0):
-            return CorrelationSeries(t_max=t_max, times=times, values=values)
+            return CorrelationSeries(grid=TimeGrid(t_max, n_samples), values=values)
 
         monkeypatch.setattr("isingspec.spectrum.correlation_series", crafted)
         cfg_path = tmp_path / "cfg.json"

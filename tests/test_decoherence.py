@@ -10,13 +10,16 @@ from isingspec import (
     CapacityError,
     ChainParams,
     ModeCoefficients,
+    ParameterError,
     build_mode_table,
     decoherence_factor,
     enumerate_lines,
+    fock_superposition,
     mode_coefficients,
     mode_factor,
     oracle_decoherence,
     oracle_mode_factor,
+    weighted_echo,
 )
 from isingspec import decoherence
 from isingspec.decoherence import (
@@ -319,6 +322,25 @@ class TestBlockFactorizedPath:
         assert block.shape == times.shape == (count,)
         np.testing.assert_array_equal(block, decoherence_factor(table, 1, plan))
         np.testing.assert_allclose(block, decoherence_factor(table, 1, times), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "start, step, size",
+        [
+            (0.0, 0.1, -5),
+            (0.0, 0.1, 2.5),
+            (0.0, 0.1, True),
+            (0.0, math.nan, 16),
+            (math.inf, 0.1, 16),
+        ],
+        ids=["negative-size", "fractional-size", "bool-size", "nan-step", "infinite-start"],
+    )
+    def test_invalid_plans_are_parameter_errors(self, start, step, size):
+        table = build_mode_table(params_for(), n_max=1)
+        state = fock_superposition([1, 1])
+        with pytest.raises(ParameterError, match="plan"):
+            decoherence_factor(table, 1, GridPlan(start, step, size))
+        with pytest.raises(ParameterError, match="plan"):
+            weighted_echo(table, state, GridPlan(start, step, size))
 
     def test_plan_and_workspace_keep_the_bits(self):
         table = build_mode_table(params_for(n_sites=100, lam=1.0, g_over_b=0.08125), n_max=2)

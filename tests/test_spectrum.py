@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from isingspec import (
@@ -83,8 +83,8 @@ class TestCorrelationSeries:
         state = fock_superposition([1, 1])
         table = build_mode_table(p, n_max=1)
         series = correlation_series(p, table, state, 100.0, 1024)
-        mid = series.n_samples // 2
-        assert series.times[mid] == 0.0
+        mid = series.grid.n_samples // 2
+        assert series.grid.times()[mid] == 0.0
         assert series.values[mid] == pytest.approx(0.5, abs=1e-10)
 
     def test_magnitude_never_exceeds_initial_value(self):
@@ -99,7 +99,7 @@ class TestCorrelationSeries:
         p = params_for(n_sites=20, lam=0.7)
         table = build_mode_table(p, n_max=1)
         series = correlation_series(p, table, fock_superposition([1, 1]), 80.0, 512)
-        mid = series.n_samples // 2
+        mid = series.grid.n_samples // 2
         for j in range(1, mid):
             assert series.values[mid + j] == np.conj(series.values[mid - j])
 
@@ -139,7 +139,7 @@ class TestCorrelationSeries:
         weights = state.branch_weights()
         table = build_mode_table(p, n_max=state.n_max)
         grid = auto_time_grid(p, table, state)
-        plan = GridPlan(0.0, 2.0 * grid.t_max / grid.n_samples, grid.n_samples // 2 + 1)
+        plan = GridPlan(0.0, grid.step, grid.n_samples // 2 + 1)
         branches = [n for n in range(1, len(weights)) if weights[n] > 0.0]
         assert len(branches) > 5
         expected = np.zeros(plan.size, dtype=complex)
@@ -315,8 +315,8 @@ class TestUniformGridProperties:
         p = params_for(n_sites=n_sites, lam=lam, g_over_b=g_over_b)
         table = build_mode_table(p, n_max=max(state.n_max, 1))
         series = correlation_series(p, table, state, 200.0, 4096)
-        mid = series.n_samples // 2
-        plan = GridPlan(0.0, 2.0 * 200.0 / 4096, mid + 1)  # the grid correlation_series uses
+        mid = series.grid.n_samples // 2
+        plan = GridPlan(0.0, series.grid.step, mid + 1)  # the half-grid correlation_series uses
         for n in range(1, state.n_max + 1):
             echo = decoherence_factor(table, n, plan)
             assert abs(echo[0] - 1.0) <= 1e-12
@@ -345,7 +345,7 @@ class TestSpectrumFFT:
         state = fock_superposition([1, 1])
         _, series, spec = pipeline(p, state)
         d_omega = spec.frequencies[1] - spec.frequencies[0]
-        mid = series.n_samples // 2
+        mid = series.grid.n_samples // 2
         assert np.sum(spec.values) * d_omega == pytest.approx(
             2 * np.pi * series.values[mid].real, rel=0.01
         )
@@ -381,8 +381,7 @@ class TestSpectrumFFT:
         p = params_for(n_sites=n_sites, lam=lam)
         state = fock_superposition([1, 1]) if probe == "fock" else coherent_state(1.0)
         table, series, spec = pipeline(p, state, *(grid or ()))
-        t_max, gamma = series.t_max, p.gamma_over_b
-        dt = 2.0 * t_max / series.n_samples
+        t_max, dt, gamma = series.grid.t_max, series.grid.step, p.gamma_over_b
         omega = spec.frequencies
         # exp(i (c - omega) t) is formed as exp(i c t) exp(-i omega t)
         step = np.exp(-1j * omega * dt)
@@ -681,6 +680,19 @@ class TestAutoTimeGrid:
     def test_time_grid_rejects_bad_fields(self, t_max, n_samples, field):
         with pytest.raises(ConfigError, match=field):
             TimeGrid(t_max=t_max, n_samples=n_samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_max=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), k=st.integers(1, 22))
+    def test_time_grid_step_and_times_are_the_fft_grid(self, t_max, k):
+        # bit for bit: the step and times of every valid grid, so the
+        # correlation CSV's t column
+        n = 1 << k
+        step = 2.0 * t_max / n
+        assume(0.0 < step < math.inf)
+        grid = TimeGrid(t_max=t_max, n_samples=n)
+        assert np.float64(grid.step).view(np.uint64) == np.float64(step).view(np.uint64)
+        expected = -t_max + np.arange(n) * step
+        np.testing.assert_array_equal(grid.times().view(np.uint64), expected.view(np.uint64))
 
     def test_gamma_zero_demands_explicit_grid(self):
         p = params_for(gamma_over_b=0.0)
